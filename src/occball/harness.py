@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,15 +118,7 @@ def evaluate(
     base = config or EpisodeConfig()
     episodes = []
     for i in range(n_episodes):
-        ep_seed = substream_seed(seed, "eval-episode", i)
-        cfg = EpisodeConfig(
-            max_steps=base.max_steps,
-            init_halfwidth=base.init_halfwidth,
-            h_limit=base.h_limit,
-            theta_limit_deg=base.theta_limit_deg,
-            reference=base.reference,
-            seed=ep_seed,
-        )
+        cfg = replace(base, seed=substream_seed(seed, "eval-episode", i))
         result, _ = run_episode(params, cfg, controller, sensor)
         episodes.append(result)
     rewards = [r.reward for r in episodes]
@@ -139,14 +131,7 @@ def evaluate(
 
 
 def _survives_from_angle(controller, params, sensor, theta_deg, config, probe_seed) -> bool:
-    cfg = EpisodeConfig(
-        max_steps=config.max_steps,
-        init_halfwidth=config.init_halfwidth,
-        h_limit=config.h_limit,
-        theta_limit_deg=config.theta_limit_deg,
-        reference=config.reference,
-        seed=probe_seed,
-    )
+    cfg = replace(config, seed=probe_seed)
     init = SimState(theta=math.radians(theta_deg))
     result, _ = run_episode(params, cfg, controller, sensor, init_state=init)
     return result.success
@@ -311,17 +296,14 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1):
         for repeat in range(spec.n_repeats)
     ]
 
-    def work(cell):
-        fix, tier, budget, repeat = cell
-        return _hinf_cell(spec.method, PhysicalParams(ell0=fix), tier, budget, repeat, spec)
-
+    args = [(spec, c) for c in cells]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, [(spec, c) for c in cells]))
+            rows = list(pool.map(_sweep_worker, args))
     else:
-        rows = [work(c) for c in cells]
+        rows = list(map(_sweep_worker, args))
 
     _write_csv(out / f"{spec.method}_cells.csv", _HINF_COLUMNS, rows)
 

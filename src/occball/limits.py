@@ -26,6 +26,7 @@ __all__ = [
     "BoundResult",
     "ClosedLoop",
     "hinf_norm",
+    "linf_norm",
     "pole_zero_bound",
     "bound_for_model",
     "closed_loop",
@@ -61,13 +62,40 @@ class ClosedLoop:
     internally_stable: bool
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
+def _sigma_max(A, B, C, D, omegas: np.ndarray) -> np.ndarray:
+    """Largest singular value of C (e^{j omega} I - A)^-1 B + D, batched over omegas."""
+    n = A.shape[0]
+    if n == 0:
+        return np.full(len(omegas), np.linalg.svd(D, compute_uv=False)[0])
+    M = np.exp(1j * omegas)[:, None, None] * np.eye(n) - A
+    X = np.linalg.solve(M, np.broadcast_to(B.astype(complex), (len(omegas), *B.shape)))
+    return np.linalg.svd(C.astype(complex) @ X + D, compute_uv=False)[:, 0]
+
+
+def linf_norm(A, B, C, D=None, grid_size: int = 2048) -> float:
+    """Peak largest singular value of C (zI - A)^-1 B + D over the unit circle.
+
+    Evaluates a uniform grid over omega in [0, pi], then refines the grid
+    argmax by golden-section search.  Stability is the caller's concern: for
+    a stable model this is its H-infinity norm.
+    """
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    D = np.zeros((C.shape[0], B.shape[1])) if D is None else D
+
+    def f(w):
+        return float(_sigma_max(A, B, C, D, np.array([w]))[0])
+
+    omegas = np.linspace(0.0, math.pi, grid_size)
+    vals = _sigma_max(A, B, C, D, omegas)
+    k = int(np.argmax(vals))
+    a, b = omegas[max(k - 1, 0)], omegas[min(k + 1, grid_size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(200):
+        if b - a <= 1e-12:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -77,46 +105,20 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _freq_response_mag(model: StateSpaceModel, omegas: np.ndarray) -> np.ndarray:
-    """|G(e^{j omega})| on a frequency grid (SISO), batched over the grid."""
-    zetas = np.exp(1j * omegas)
-    if model.n == 0:
-        return np.full(len(omegas), abs(complex(model.D[0, 0])))
-    eye = np.eye(model.n)
-    M = zetas[:, None, None] * eye - model.A
-    rhs = np.broadcast_to(model.B.astype(complex), (len(omegas), model.n, 1))
-    X = np.linalg.solve(M, rhs)
-    vals = (model.C.astype(complex) @ X)[:, 0, 0] + complex(model.D[0, 0])
-    return np.abs(vals)
+    return max(float(vals[k]), f1, f2)
 
 
 def hinf_norm(model: StateSpaceModel, grid_size: int = 4096) -> float:
     """Peak gain over the unit circle for a stable SISO model.
 
-    Evaluates |G| on a uniform grid over omega in [0, pi], then refines the
-    grid argmax by golden-section search.  Raises for unstable models, whose
-    norm is not defined.
+    The grid-plus-golden-section search of linf_norm on a finer grid.
+    Raises for unstable models, whose norm is not defined.
     """
     if model.p != 1 or model.q != 1:
         raise ValueError("hinf_norm is defined here for SISO models only")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     if model.n > 0 and spectral_radius(model.A) >= 1.0:
         raise ValueError("model is not stable; the H-infinity norm is unbounded")
-    omegas = np.linspace(0.0, math.pi, grid_size)
-    mags = _freq_response_mag(model, omegas)
-    k = int(np.argmax(mags))
-    lo = omegas[max(k - 1, 0)]
-    hi = omegas[min(k + 1, grid_size - 1)]
-
-    def f(w):
-        return float(_freq_response_mag(model, np.array([w]))[0])
-
-    _, peak = _golden_max(f, lo, hi)
-    return max(float(mags[k]), peak)
+    return linf_norm(model.A, model.B, model.C, model.D, grid_size)
 
 
 def pole_zero_bound(unstable_poles, unstable_zeros, coincidence_tol: float = 1e-12) -> BoundResult:

@@ -255,6 +255,42 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
+def _doubling(A, G, H, *, max_iter: int = 100, conv_tol: float = 1e-14) -> np.ndarray:
+    """Structured doubling for X = H + A' X (I + G X)^-1 A (Chu, Fan & Lin 2005).
+
+    This is the package's one Riccati iteration.  With G = B R^-1 B' it
+    converges quadratically to the stabilizing DARE solution; with G = 0 it
+    is Smith's doubling for the Stein equation X = A' X A + H.  Breakdown,
+    divergence, or no convergence within max_iter doublings raises
+    DareInfeasibleError; the caller certifies the returned X.
+    """
+    Ak = A.copy()
+    Gk = G.copy()
+    Hk = H.copy()
+    eye = np.eye(A.shape[0])
+    for _ in range(max_iter):
+        W = eye + Gk @ Hk
+        try:
+            M1 = np.linalg.solve(W, Ak)
+            M2 = np.linalg.solve(W, Gk)
+        except np.linalg.LinAlgError as exc:
+            raise DareInfeasibleError(f"doubling iteration broke down: {exc}") from exc
+        An = Ak @ M1
+        Gn = Gk + Ak @ M2 @ Ak.T
+        Hn = Hk + Ak.T @ Hk @ M1
+        if not np.all(np.isfinite(Hn)):
+            raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf, above the cap
+            h_norm = np.linalg.norm(Hn, "fro")
+        if h_norm > 1e150:
+            raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
+        delta = np.linalg.norm(Hn - Hk, "fro")
+        Ak, Gk, Hk = An, Gn, 0.5 * (Hn + Hn.T)
+        if delta <= conv_tol * (1.0 + h_norm):
+            return Hk
+    raise DareInfeasibleError(f"doubling iteration did not converge in {max_iter} steps")
+
+
 def solve_dare(A, B, Q, R, *, max_iter: int = 100, conv_tol: float = 1e-14) -> np.ndarray:
     """Stabilizing solution of P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q.
 
@@ -278,40 +314,12 @@ def solve_dare(A, B, Q, R, *, max_iter: int = 100, conv_tol: float = 1e-14) -> n
         raise ValueError("R must be positive definite")
 
     G = B @ np.linalg.solve(R, B.T)
-    Ak = A.copy()
-    Gk = G.copy()
-    Hk = Q.copy()
-    eye = np.eye(n)
-    converged = False
-    for _ in range(max_iter):
-        W = eye + Gk @ Hk
-        try:
-            M1 = np.linalg.solve(W, Ak)
-            M2 = np.linalg.solve(W, Gk)
-        except np.linalg.LinAlgError as exc:
-            raise DareInfeasibleError(f"doubling iteration broke down: {exc}") from exc
-        An = Ak @ M1
-        Gn = Gk + Ak @ M2 @ Ak.T
-        Hn = Hk + Ak.T @ Hk @ M1
-        h_norm = np.linalg.norm(Hn, "fro")
-        if not np.all(np.isfinite(Hn)) or h_norm > 1e150:
-            raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
-        delta = np.linalg.norm(Hn - Hk, "fro")
-        Ak, Gk, Hk = An, Gn, 0.5 * (Hn + Hn.T)
-        if delta <= conv_tol * (1.0 + h_norm):
-            converged = True
-            break
-    P = 0.5 * (Hk + Hk.T)
+    P = _doubling(A, G, Q, max_iter=max_iter, conv_tol=conv_tol)
     gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     residual = P - (A.T @ P @ A - A.T @ P @ B @ gain + Q)
     res_norm = np.linalg.norm(residual, "fro")
-    if not converged or not np.isfinite(res_norm) or res_norm > 1e-8 * (
-        1.0 + np.linalg.norm(P, "fro")
-    ):
-        raise DareInfeasibleError(
-            f"no stabilizing DARE solution found (residual {res_norm:.3e}, "
-            f"converged={converged})"
-        )
+    if not np.isfinite(res_norm) or res_norm > 1e-8 * (1.0 + np.linalg.norm(P, "fro")):
+        raise DareInfeasibleError(f"no stabilizing DARE solution found (residual {res_norm:.3e})")
     return P
 
 

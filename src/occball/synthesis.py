@@ -4,10 +4,10 @@ The identified model is wrapped in a generalized plant with a process
 disturbance on every state, a measurement disturbance on the output, and a
 performance output stacking the states above an epsilon-weighted control
 effort.  Synthesis bisects the attenuation level gamma; each level is tested
-by solving two indefinite-cost (game) Riccati equations by value iteration,
-checking the spectral-radius coupling of their solutions, and constructing a
-strictly causal central controller (worst-case state-feedback gain driven by
-a worst-case prediction observer).  Every candidate is certified a
+by solving two indefinite-cost (game) Riccati equations, checking the
+spectral-radius coupling of their solutions, and constructing a strictly
+causal central controller (worst-case state-feedback gain driven by a
+worst-case prediction observer).  Every candidate is certified a
 posteriori: the closed loop with the design model must be internally stable
 with disturbance-to-performance gain within the level, so a formula slip can
 never silently return a bad controller.
@@ -23,9 +23,11 @@ import numpy as np
 from .linalg import (
     DareInfeasibleError,
     StateSpaceModel,
+    _doubling,
     solve_dare,
     spectral_radius,
 )
+from .limits import bound_for_model, closed_loop, hinf_norm, linf_norm
 
 __all__ = [
     "GeneralizedPlant",
@@ -46,7 +48,7 @@ EPSILON_BY_TIER = {
 
 
 class GameDareInfeasible(RuntimeError):
-    """The game Riccati iteration lost its saddle point or diverged."""
+    """The game Riccati equation has no certified saddle-point solution."""
 
 
 @dataclass(frozen=True)
@@ -122,82 +124,49 @@ def _is_pd(M: np.ndarray) -> bool:
         return False
 
 
-def _game_dare(A, B, S, Q, R, n_pos: int, *, max_iter: int = 20000, tol: float = 1e-12):
-    """Stabilizing solution of the indefinite-cost DARE by value iteration.
+def _game_dare(A, B, S, Q, R, n_pos: int):
+    """Stabilizing solution of the indefinite-cost (game) DARE.
 
     Solves X = Q + A'XA - (A'XB + S)(R + B'XB)^-1 (B'XA + S') where the
-    first n_pos input channels are minimizers and the rest maximizers, so at
-    every iterate R + B'XB must keep its saddle inertia: leading block
-    positive definite, trailing Schur complement negative definite.  Breaking
-    either condition, diverging, or failing to converge within the cap means
-    the requested level is infeasible.
+    first n_pos input channels are minimizers and the rest maximizers.  R is
+    indefinite but nonsingular, so the cross term S substitutes out and the
+    equation goes to the structured doubling kernel; two Newton (Hewer)
+    steps then refine X, each solving its Stein equation with the same
+    kernel.  X is certified afterwards: R + B'XB must have saddle inertia
+    (leading block positive definite, trailing Schur complement negative
+    definite), the residual must pass the solve_dare bound, and A - BK must
+    be stable.  Any failure means the requested level is infeasible.
     """
-    n = A.shape[0]
-    X = np.zeros((n, n))
-    scale = 1.0 + np.linalg.norm(Q, "fro")
-    for _ in range(max_iter):
-        Rx = R + B.T @ X @ B
-        Ruu = Rx[:n_pos, :n_pos]
-        if not _is_pd(Ruu):
-            raise GameDareInfeasible("minimizer block lost positive definiteness")
-        Rue = Rx[:n_pos, n_pos:]
-        schur = Rx[n_pos:, n_pos:] - Rue.T @ np.linalg.solve(Ruu, Rue)
-        if np.linalg.eigvalsh(0.5 * (schur + schur.T)).max() >= 0.0:
-            raise GameDareInfeasible("maximizer block lost negative definiteness")
-        K = np.linalg.solve(Rx, B.T @ X @ A + S.T)
-        Xn = Q + A.T @ X @ A - (A.T @ X @ B + S) @ K
-        Xn = 0.5 * (Xn + Xn.T)
-        if not np.all(np.isfinite(Xn)) or np.linalg.norm(Xn, "fro") > 1e12 * scale:
-            raise GameDareInfeasible("value iteration diverged")
-        delta = np.linalg.norm(Xn - X, "fro")
-        X = Xn
-        if delta <= tol * (1.0 + np.linalg.norm(X, "fro")):
-            break
-    else:
-        raise GameDareInfeasible("value iteration hit the iteration cap")
-    K = np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
+
+    def gain_and_residual(X):
+        K = np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
+        res = Q + A.T @ X @ A - (A.T @ X @ B + S) @ K - X
+        return K, 0.5 * (res + res.T)
+
+    try:
+        R_inv_St = np.linalg.solve(R, S.T)
+        G = B @ np.linalg.solve(R, B.T)
+        X = _doubling(A - B @ R_inv_St, G, Q - S @ R_inv_St)
+        for _ in range(2):
+            K, res = gain_and_residual(X)
+            X = X + _doubling(A - B @ K, np.zeros_like(G), res)
+        K, res = gain_and_residual(X)
+    except (DareInfeasibleError, np.linalg.LinAlgError) as exc:
+        raise GameDareInfeasible(f"game Riccati solve failed: {exc}") from exc
+    Rx = R + B.T @ X @ B
+    Ruu = Rx[:n_pos, :n_pos]
+    if not _is_pd(Ruu):
+        raise GameDareInfeasible("minimizer block is not positive definite")
+    Rue = Rx[:n_pos, n_pos:]
+    schur = Rx[n_pos:, n_pos:] - Rue.T @ np.linalg.solve(Ruu, Rue)
+    if np.linalg.eigvalsh(0.5 * (schur + schur.T)).max() >= 0.0:
+        raise GameDareInfeasible("maximizer block is not negative definite")
+    res_norm = np.linalg.norm(res, "fro")
+    if not res_norm <= 1e-8 * (1.0 + np.linalg.norm(X, "fro")):
+        raise GameDareInfeasible(f"game Riccati residual {res_norm:.3e} too large")
     if spectral_radius(A - B @ K) >= 1.0:
         raise GameDareInfeasible("saddle-point closed loop is not stable")
     return X, K
-
-
-def _mimo_linf_norm(A, B, C, D=None, grid: int = 2048) -> float:
-    """Peak largest singular value of C(zI-A)^-1 B + D over the unit circle."""
-    nx = A.shape[0]
-    D = np.zeros((C.shape[0], B.shape[1])) if D is None else D
-
-    def sigma_max(omegas: np.ndarray) -> np.ndarray:
-        if nx == 0:
-            s = np.linalg.svd(D, compute_uv=False)[0]
-            return np.full(len(omegas), s)
-        zeta = np.exp(1j * omegas)
-        M = zeta[:, None, None] * np.eye(nx) - A
-        X = np.linalg.solve(M, np.broadcast_to(B.astype(complex), (len(omegas), *B.shape)))
-        G = C.astype(complex) @ X + D
-        return np.linalg.svd(G, compute_uv=False)[:, 0]
-
-    omegas = np.linspace(0.0, math.pi, grid)
-    vals = sigma_max(omegas)
-    k = int(np.argmax(vals))
-    lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = float(sigma_max(np.array([x1]))[0])
-    f2 = float(sigma_max(np.array([x2]))[0])
-    for _ in range(120):
-        if b - a <= 1e-12:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = float(sigma_max(np.array([x2]))[0])
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = float(sigma_max(np.array([x1]))[0])
-    return max(float(vals[k]), f1, f2)
 
 
 def _attempt_level(plant: GeneralizedPlant, gamma: float, norm_grid: int):
@@ -265,7 +234,7 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float, norm_grid: int):
     rho_cl = spectral_radius(Acl)
     if rho_cl >= 1.0:
         raise GameDareInfeasible("certified closed loop is unstable")
-    cl_norm = _mimo_linf_norm(Acl, Bcl, Ccl, grid=norm_grid)
+    cl_norm = linf_norm(Acl, Bcl, Ccl, grid_size=norm_grid)
     if cl_norm > gamma * (1.0 + 1e-6):
         raise GameDareInfeasible(
             f"certificate failed: closed-loop norm {cl_norm:.6g} above level {gamma:.6g}"
@@ -360,7 +329,6 @@ def validate_controller(
     from .cartpole import linearize, make_sensor
     from .controllers import LtiController
     from .harness import max_stabilized_angle
-    from .limits import bound_for_model, closed_loop, hinf_norm
     from .linalg import negate_output
 
     if not synthesized.feasible or synthesized.controller is None:

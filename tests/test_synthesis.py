@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from occball import synthesis
 from occball.cartpole import PhysicalParams, linearize, make_sensor
-from occball.limits import bound_for_model, closed_loop, hinf_norm
+from occball.limits import bound_for_model, closed_loop, hinf_norm, linf_norm
 from occball.linalg import StateSpaceModel, negate_output, spectral_radius
 from occball.sysid import collect_budget, fit_arx, fit_full_state, ho_kalman
 from occball.synthesis import (
     EPSILON_BY_TIER,
     GameDareInfeasible,
     _attempt_level,
-    _mimo_linf_norm,
     build_generalized_plant,
     hinf_synthesize,
     validate_controller,
@@ -78,7 +79,7 @@ class TestSynthesize:
         assert spectral_radius(Acl) < 1.0
         Bcl = np.vstack([gp.B1, K.B @ gp.D21])
         Ccl = np.hstack([gp.C1, gp.D12 @ K.C])
-        measured = _mimo_linf_norm(Acl, Bcl, Ccl)
+        measured = linf_norm(Acl, Bcl, Ccl)
         assert measured <= syn.gamma_design * (1 + 1e-6)
 
     def test_uncontrollable_unstable_mode_diagnosed(self):
@@ -109,8 +110,31 @@ class TestSynthesize:
         model = identified_model(budget=5000)
         gp = build_generalized_plant(model, 5e-3)
         syn = hinf_synthesize(gp)
-        with pytest.raises(GameDareInfeasible):
-            _attempt_level(gp, syn.gamma_design / 10.0, norm_grid=512)
+        for factor in (0.1, 0.5, 0.99):
+            with pytest.raises(GameDareInfeasible):
+                _attempt_level(gp, syn.gamma_design * factor, norm_grid=512)
+
+    @pytest.mark.parametrize("gamma", [1e3, 1e6])
+    @pytest.mark.parametrize("tier", ["noise_free", "depth_like"])
+    def test_game_dares_match_scipy(self, monkeypatch, tier, gamma):
+        # the X, Y and filter games of one level against scipy's QZ solver,
+        # which handles the indefinite R and the cross term S directly
+        model = identified_model(budget=5000, tier=tier)
+        gp = build_generalized_plant(model, EPSILON_BY_TIER[tier])
+        games = []
+        real = synthesis._game_dare
+
+        def recording(A, B, S, Q, R, n_pos):
+            X, K = real(A, B, S, Q, R, n_pos)
+            games.append((A, B, S, Q, R, X))
+            return X, K
+
+        monkeypatch.setattr(synthesis, "_game_dare", recording)
+        _attempt_level(gp, gamma, norm_grid=512)
+        assert len(games) == 3
+        for A, B, S, Q, R, X in games:
+            ref = scipy.linalg.solve_discrete_are(A, B, Q, R, s=S)
+            assert np.linalg.norm(X - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_epsilon_weighting_direction(self):
         # 10x epsilon never increases the disturbance-to-control-effort gain
@@ -124,7 +148,7 @@ class TestSynthesize:
             Acl = np.block([[gp.A, gp.B2 @ K.C], [K.B @ gp.C2, K.A]])
             Bcl = np.vstack([gp.B1, K.B @ gp.D21])
             Ccl = np.hstack([np.zeros((1, gp.n)), K.C])
-            return _mimo_linf_norm(Acl, Bcl, Ccl)
+            return linf_norm(Acl, Bcl, Ccl)
 
         n1 = effort_norm(5e-3)
         n2 = effort_norm(5e-2)
