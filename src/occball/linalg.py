@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 UNIT_CIRCLE_TOL = 1e-7
+# doubling converges quadratically: a cap far above its need, a rounding-level stop
+_MAX_DOUBLINGS, _DOUBLING_TOL = 100, 1e-14
 
 
 class PoleEvaluationError(ValueError):
@@ -255,20 +257,20 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def _doubling(A, G, H, *, max_iter: int = 100, conv_tol: float = 1e-14) -> np.ndarray:
+def _doubling(A, G, H) -> np.ndarray:
     """Structured doubling for X = H + A' X (I + G X)^-1 A (Chu, Fan & Lin 2005).
 
     This is the package's one Riccati iteration.  With G = B R^-1 B' it
     converges quadratically to the stabilizing DARE solution; with G = 0 it
     is Smith's doubling for the Stein equation X = A' X A + H.  Breakdown,
-    divergence, or no convergence within max_iter doublings raises
+    divergence, or no convergence within _MAX_DOUBLINGS doublings raises
     DareInfeasibleError; the caller certifies the returned X.
     """
     Ak = A.copy()
     Gk = G.copy()
     Hk = H.copy()
     eye = np.eye(A.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_DOUBLINGS):
         W = eye + Gk @ Hk
         try:
             M1 = np.linalg.solve(W, Ak)
@@ -286,16 +288,16 @@ def _doubling(A, G, H, *, max_iter: int = 100, conv_tol: float = 1e-14) -> np.nd
             raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
         delta = np.linalg.norm(Hn - Hk, "fro")
         Ak, Gk, Hk = An, Gn, 0.5 * (Hn + Hn.T)
-        if delta <= conv_tol * (1.0 + h_norm):
+        if delta <= _DOUBLING_TOL * (1.0 + h_norm):
             return Hk
-    raise DareInfeasibleError(f"doubling iteration did not converge in {max_iter} steps")
+    raise DareInfeasibleError(f"doubling iteration did not converge in {_MAX_DOUBLINGS} steps")
 
 
-def solve_dare(A, B, Q, R, *, max_iter: int = 100, conv_tol: float = 1e-14) -> np.ndarray:
+def solve_dare(A, B, Q, R) -> np.ndarray:
     """Stabilizing solution of P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q.
 
     Solved by the structured doubling iteration (quadratically convergent,
-    capped at max_iter doublings).  The result is certified by its residual:
+    capped at 100 doublings).  The result is certified by its residual:
     anything above 1e-8 * (1 + ||P||_F) raises DareInfeasibleError, which is
     also the signal for non-stabilizable input pairs.
     """
@@ -314,7 +316,7 @@ def solve_dare(A, B, Q, R, *, max_iter: int = 100, conv_tol: float = 1e-14) -> n
         raise ValueError("R must be positive definite")
 
     G = B @ np.linalg.solve(R, B.T)
-    P = _doubling(A, G, Q, max_iter=max_iter, conv_tol=conv_tol)
+    P = _doubling(A, G, Q)
     gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     residual = P - (A.T @ P @ A - A.T @ P @ B @ gain + Q)
     res_norm = np.linalg.norm(residual, "fro")

@@ -46,6 +46,9 @@ EPSILON_BY_TIER = {
     "rgb_like": 1e-6,
 }
 
+# gamma bisection range, and the relative bracket width at which it stops
+GAMMA_LO, GAMMA_HI, GAMMA_REL_TOL = 1e-2, 1e6, 1e-3
+
 
 class GameDareInfeasible(RuntimeError):
     """The game Riccati equation has no certified saddle-point solution."""
@@ -169,7 +172,7 @@ def _game_dare(A, B, S, Q, R, n_pos: int):
     return X, K
 
 
-def _attempt_level(plant: GeneralizedPlant, gamma: float, norm_grid: int):
+def _attempt_level(plant: GeneralizedPlant, gamma: float):
     """Construct and certify the central controller at one gamma level."""
     A, B1, B2 = plant.A, plant.B1, plant.B2
     C1, D12, C2, D21 = plant.C1, plant.D12, plant.C2, plant.D21
@@ -234,7 +237,7 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float, norm_grid: int):
     rho_cl = spectral_radius(Acl)
     if rho_cl >= 1.0:
         raise GameDareInfeasible("certified closed loop is unstable")
-    cl_norm = linf_norm(Acl, Bcl, Ccl, grid_size=norm_grid)
+    cl_norm = linf_norm(Acl, Bcl, Ccl)
     if cl_norm > gamma * (1.0 + 1e-6):
         raise GameDareInfeasible(
             f"certificate failed: closed-loop norm {cl_norm:.6g} above level {gamma:.6g}"
@@ -242,12 +245,7 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float, norm_grid: int):
     return controller, cl_norm, {"coupling": coupling, "rho_closed_loop": rho_cl}
 
 
-def hinf_synthesize(
-    plant: GeneralizedPlant,
-    gamma_range: tuple = (1e-2, 1e6),
-    bisection_tol: float = 1e-3,
-    norm_grid: int = 2048,
-) -> SynthesizedController:
+def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
     """Bisect the attenuation level and return the best certified controller.
 
     Preconditions (stabilizability of (A, B2) and detectability of (C2, A))
@@ -270,30 +268,26 @@ def hinf_synthesize(
             diagnostics={"reason": "(C2, A) is not detectable"},
         )
 
-    lo, hi = gamma_range
-    if not (0 < lo < hi):
-        raise ValueError("gamma_range must be increasing and positive")
-
     def attempt(gamma):
         try:
-            return _attempt_level(plant, gamma, norm_grid)
+            return _attempt_level(plant, gamma)
         except GameDareInfeasible as exc:
             return exc
 
-    top = attempt(hi)
+    top = attempt(GAMMA_HI)
     if isinstance(top, GameDareInfeasible):
         return SynthesizedController(
             None, math.inf, plant.epsilon, False,
-            diagnostics={"reason": f"infeasible at gamma={hi:g}: {top}"},
+            diagnostics={"reason": f"infeasible at gamma={GAMMA_HI:g}: {top}"},
         )
-    best_gamma, best = hi, top
+    best_gamma, best = GAMMA_HI, top
 
-    bottom = attempt(lo)
+    bottom = attempt(GAMMA_LO)
     if not isinstance(bottom, GameDareInfeasible):
-        best_gamma, best = lo, bottom
+        best_gamma, best = GAMMA_LO, bottom
     else:
-        llo, lhi = math.log(lo), math.log(hi)
-        while lhi - llo > math.log1p(bisection_tol):
+        llo, lhi = math.log(GAMMA_LO), math.log(GAMMA_HI)
+        while lhi - llo > math.log1p(GAMMA_REL_TOL):
             mid = 0.5 * (llo + lhi)
             result = attempt(math.exp(mid))
             if isinstance(result, GameDareInfeasible):
@@ -302,7 +296,6 @@ def hinf_synthesize(
                 lhi = mid
                 best_gamma, best = math.exp(mid), result
     controller, cl_norm, info = best
-    info = dict(info)
     return SynthesizedController(
         controller=controller,
         gamma_achieved=cl_norm,

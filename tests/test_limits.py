@@ -9,14 +9,23 @@ from occball.limits import (
     bound_for_model,
     closed_loop,
     hinf_norm,
+    linf_norm,
     pole_zero_bound,
 )
-from occball.linalg import StateSpaceModel, solve_dare, tf_eval
+from occball.linalg import StateSpaceModel, solve_dare, spectral_radius, tf_eval
 from occball.rngtools import substream
 
 
 def static(v):
     return StateSpaceModel.static_gain(v)
+
+
+def sigma_max(model, omegas):
+    """Largest singular value of the frequency response at each of omegas."""
+    z = np.exp(1j * omegas)[:, None, None]
+    B = np.broadcast_to(model.B, (len(omegas), *model.B.shape))
+    X = np.linalg.solve(z * np.eye(model.n) - model.A, B)
+    return np.linalg.svd(model.C @ X + model.D, compute_uv=False)[:, 0]
 
 
 class TestHinfNorm:
@@ -38,13 +47,36 @@ class TestHinfNorm:
         with pytest.raises(ValueError):
             hinf_norm(g)
 
-    def test_grid_doubling_converged(self):
-        g = StateSpaceModel(
-            [[0.9, 0.2], [-0.2, 0.9]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]
-        )
-        a = hinf_norm(g, grid_size=4096)
-        b = hinf_norm(g, grid_size=8192)
-        assert abs(a - b) < 1e-4 * max(a, b)
+    def test_lightly_damped_peak_between_grid_points(self):
+        # a broad resonance at 0.6 rad plus a sharp pair of pole radius
+        # 1 - 1e-6 placed midway between two points of a 4096-point grid:
+        # the broad peak dominates the grid, the sharp one is the norm
+        def pair(radius, angle):
+            c, s = math.cos(angle), math.sin(angle)
+            return radius * np.array([[c, -s], [s, c]])
+
+        r = 1.0 - 1e-6
+        theta = 2600.5 * math.pi / 4095
+        zero = np.zeros((2, 2))
+        A = np.block([[pair(0.9, 0.6), zero], [zero, pair(r, theta)]])
+        g = StateSpaceModel(A, [[1.0], [0.0], [1.0], [0.0]], [[0.0, 1.0, 0.0, 1e-4]], [[0.0]])
+        grid_omegas = np.linspace(0.0, math.pi, 4096)
+        grid = sigma_max(g, grid_omegas)
+        local = sigma_max(g, theta + (1.0 - r) * np.linspace(-20.0, 20.0, 40001))
+        assert abs(grid_omegas[np.argmax(grid)] - 0.6) < 0.1
+        assert grid.max() < 0.2 * local.max()
+        assert local.max() * (1 - 1e-8) <= hinf_norm(g) <= local.max() * (1 + 1e-6)
+
+    @pytest.mark.parametrize("n,q,p", [(0, 2, 3), (1, 1, 2), (3, 2, 2), (6, 3, 2), (8, 2, 4)])
+    def test_mimo_with_feedthrough_matches_dense_grid(self, n, q, p):
+        rng = substream(21, f"linf-mimo-{n}-{q}-{p}")
+        A = rng.standard_normal((n, n))
+        if n:
+            A *= 0.95 / spectral_radius(A)
+        B, C, D = (rng.standard_normal(shape) for shape in ((n, p), (q, n), (q, p)))
+        value = linf_norm(A, B, C, D)
+        grid = sigma_max(StateSpaceModel(A, B, C, D), np.linspace(0.0, math.pi, 2**14))
+        assert grid.max() <= value <= grid.max() * (1 + 1e-6)
 
 
 class TestPoleZeroBound:

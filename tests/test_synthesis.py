@@ -104,7 +104,7 @@ class TestSynthesize:
         syn = hinf_synthesize(gp)
         assert syn.feasible
         for factor in (1.5, 10.0, 100.0):
-            _attempt_level(gp, syn.gamma_design * factor, norm_grid=512)
+            _attempt_level(gp, syn.gamma_design * factor)
 
     def test_infeasible_below_optimum(self):
         model = identified_model(budget=5000)
@@ -112,7 +112,7 @@ class TestSynthesize:
         syn = hinf_synthesize(gp)
         for factor in (0.1, 0.5, 0.99):
             with pytest.raises(GameDareInfeasible):
-                _attempt_level(gp, syn.gamma_design * factor, norm_grid=512)
+                _attempt_level(gp, syn.gamma_design * factor)
 
     @pytest.mark.parametrize("gamma", [1e3, 1e6])
     @pytest.mark.parametrize("tier", ["noise_free", "depth_like"])
@@ -130,7 +130,7 @@ class TestSynthesize:
             return X, K
 
         monkeypatch.setattr(synthesis, "_game_dare", recording)
-        _attempt_level(gp, gamma, norm_grid=512)
+        _attempt_level(gp, gamma)
         assert len(games) == 3
         for A, B, S, Q, R, X in games:
             ref = scipy.linalg.solve_discrete_are(A, B, Q, R, s=S)
