@@ -34,6 +34,7 @@ __all__ = [
     "observe",
     "linearize",
     "sample_initial_state",
+    "simulate",
     "run_episode",
     "save_trajectory",
     "load_trajectory",
@@ -92,7 +93,6 @@ class EpisodeConfig:
     init_halfwidth: float = 0.05
     h_limit: float = 0.6
     theta_limit_deg: float = 15.0
-    reference: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -171,7 +171,7 @@ class EpisodeResult:
 
 
 def accelerations(params: PhysicalParams, state: SimState, u: float):
-    """Cart and pole angular accelerations for force u (reference folded in).
+    """Cart and pole angular accelerations for force u.
 
     Solves the 2x2 system
         (M+m) hdd + m*ell*tdd = u + m*ell*td^2*sin(theta)
@@ -241,26 +241,25 @@ def sample_initial_state(config: EpisodeConfig, rng: np.random.Generator) -> Sim
     return SimState.from_array(rng.uniform(-w, w, size=4))
 
 
-def run_episode(
+def simulate(
     params: PhysicalParams,
     config: EpisodeConfig,
     controller,
     sensor: SensorSpec,
-    init_state: SimState | None = None,
+    state: SimState,
+    rng_sensor: np.random.Generator | None,
+    h_origin: float = 0.0,
 ):
-    """Simulate one episode under a controller.
+    """The one simulation loop: observe, act, step, check the box.
 
     The controller is reset, then at each step sees the current measurement y
-    and returns the force u.  The episode ends when the cart or angle leaves
-    the termination box, when the controller emits a non-finite force, or
-    after max_steps.  Reward equals the number of steps survived inside the
-    box; success means the full horizon was survived.
+    and returns the force u.  The episode ends when the cart drifts more than
+    h_limit from h_origin or the angle leaves its limit, when the controller
+    emits a non-finite force, or after max_steps.  Returns the result, the
+    per-step (y, u, pre-step state) records, and the state it ended in.
     """
-    rng_init = substream(config.seed, "init")
-    rng_sensor = substream(config.seed, sensor.rng_stream)
-    state = init_state if init_state is not None else sample_initial_state(config, rng_init)
     controller.reset()
-
+    h_limit, theta_limit = config.h_limit, config.theta_limit
     zs, us, xs = [], [], []
     steps = 0
     cause = "completed"
@@ -273,16 +272,35 @@ def run_episode(
         if not math.isfinite(u):
             cause = "nonfinite_action"
             break
-        state = step(params, state, u + config.reference)
-        if abs(state.h) > config.h_limit:
+        state = step(params, state, u)
+        if abs(state.h - h_origin) > h_limit:
             cause = "h_limit"
             break
-        if abs(state.theta) > config.theta_limit:
+        if abs(state.theta) > theta_limit:
             cause = "theta_limit"
             break
         steps += 1
     result = EpisodeResult(steps=steps, success=cause == "completed", cause=cause, seed=config.seed)
     traj = Trajectory(z=np.array(zs), u=np.array(us), x_full=np.array(xs))
+    return result, traj, state
+
+
+def run_episode(
+    params: PhysicalParams,
+    config: EpisodeConfig,
+    controller,
+    sensor: SensorSpec,
+    init_state: SimState | None = None,
+):
+    """Simulate one episode from config.seed's "init" and sensor substreams.
+
+    Reward equals the number of steps survived inside the box; success means
+    the full horizon was survived.
+    """
+    rng_init = substream(config.seed, "init")
+    rng_sensor = substream(config.seed, sensor.rng_stream)
+    state = init_state if init_state is not None else sample_initial_state(config, rng_init)
+    result, traj, _ = simulate(params, config, controller, sensor, state, rng_sensor)
     return result, traj
 
 
@@ -296,8 +314,7 @@ def save_trajectory(path, traj: Trajectory, meta: dict | None = None) -> None:
         writer.writerow(_TRAJ_COLUMNS)
         for t in range(len(traj)):
             x = traj.x_full[t] if traj.x_full is not None else [math.nan] * 4
-            writer.writerow([t, repr(float(x[0])), repr(float(x[1])), repr(float(x[2])),
-                             repr(float(x[3])), repr(float(traj.u[t])), repr(float(traj.z[t]))])
+            writer.writerow([t, *(repr(float(v)) for v in (*x, traj.u[t], traj.z[t]))])
     if meta is not None:
         with open(str(path) + ".meta.json", "w") as f:
             json.dump(meta, f, indent=2, sort_keys=True)

@@ -20,6 +20,7 @@ from .cartpole import (
 )
 from .controllers import LtiController, ZeroController, load_controller, save_controller
 from .harness import ExperimentSpec, evaluate, max_stabilized_angle, run_sweep
+from .harness import _CURVE_COLUMNS, _write_csv
 from .linalg import PoleZeroSet, StateSpaceModel
 from .rngtools import substream_seed
 from .sysid import (
@@ -205,10 +206,8 @@ def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
     result = train(params, spec, config, max_episodes=episodes, progress=progress)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "curve.csv", "w") as f:
-        f.write("episode,running_reward,steps_cumulative\n")
-        for e, r, s in result.curve:
-            f.write(f"{e},{repr(r)},{s}\n")
+    rows = [dict(zip(_CURVE_COLUMNS, c)) for c in result.curve]
+    _write_csv(out / "curve.csv", _CURVE_COLUMNS, rows)
     save_policy(out / "policy.json", result.agent.policy, metadata={
         "fixation": fixation, "sensor": tier, "seed": seed,
         "episodes_run": result.episodes_run, "stop_reason": result.stop_reason,

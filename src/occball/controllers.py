@@ -26,16 +26,13 @@ __all__ = [
 
 class Controller:
     def reset(self) -> None:
-        raise NotImplementedError
+        pass
 
     def act(self, y: float) -> float:
         raise NotImplementedError
 
 
 class ZeroController(Controller):
-    def reset(self) -> None:
-        pass
-
     def act(self, y: float) -> float:
         return 0.0
 

@@ -244,6 +244,7 @@ def _hinf_cell(method, params, tier, budget, repeat, spec):
     return row
 
 
+_CURVE_COLUMNS = ("episode", "running_reward", "steps_cumulative")
 _HINF_COLUMNS = (
     "method", "fixation", "tier", "budget", "repeat", "seed", "dataset_hash",
     "controller_hash", "feasible", "gamma", "stable_true", "hinf_T", "bound",
@@ -343,7 +344,6 @@ def _run_rl_sweep(spec: ExperimentSpec, out: Path):
     from .sac import SacConfig, train, PolicyController
 
     rows = []
-    curve_cols = ("episode", "running_reward", "steps_cumulative")
     for fix in spec.fixations:
         for tier in spec.sensor_tiers:
             params = PhysicalParams(ell0=fix)
@@ -355,11 +355,8 @@ def _run_rl_sweep(spec: ExperimentSpec, out: Path):
                     alpha=0.01 if tier == "rgb_like" else 0.2,
                 )
                 outcome = train(params, sensor, config, max_episodes=spec.rl_max_episodes)
-                rows_curve = [
-                    {"episode": e, "running_reward": r, "steps_cumulative": s}
-                    for e, r, s in outcome.curve
-                ]
-                _write_csv(out / f"rl_curve_{fix}_{tier}_{run}.csv", curve_cols, rows_curve)
+                rows_curve = [dict(zip(_CURVE_COLUMNS, c)) for c in outcome.curve]
+                _write_csv(out / f"rl_curve_{fix}_{tier}_{run}.csv", _CURVE_COLUMNS, rows_curve)
                 controller = PolicyController(outcome.agent)
                 ev = evaluate(controller, params, sensor, spec.n_eval_episodes, seed=run_seed)
                 rows.append({

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .cartpole import (
     SensorSpec,
     observe,
     sample_initial_state,
-    step,
+    simulate,
 )
 from .controllers import Controller
 from .rngtools import substream, substream_seed
@@ -36,7 +36,6 @@ __all__ = [
     "ReplayBuffer",
     "TrainResult",
     "make_history_state",
-    "policy_act",
     "sac_update",
     "train",
     "PolicyController",
@@ -232,10 +231,6 @@ class GaussianPolicy:
         return float(action[0])
 
 
-def policy_act(policy: GaussianPolicy, state, rng=None, deterministic: bool = False) -> float:
-    return policy.act(state, rng=rng, deterministic=deterministic)
-
-
 class SacAgent:
     """Policy, twin critics, their target copies, and optimizer state."""
 
@@ -377,7 +372,6 @@ class ReplayBuffer:
         self.H = int(history_len)
         self.dtype = dtype
         self._episodes = []
-        self._lengths = []
         self.size = 0
         self._flat = None  # rebuilt lazily: concatenated obs + per-transition tables
 
@@ -392,17 +386,11 @@ class ReplayBuffer:
         if terminal:
             done[-1] = 1.0
         self._episodes.append({"obs": obs, "a": actions, "r": rewards, "d": done})
-        self._lengths.append(T)
         self.size += T
         while self.size > self.capacity and len(self._episodes) > 1:
             dropped = self._episodes.pop(0)
-            self._lengths.pop(0)
             self.size -= len(dropped["a"])
         self._flat = None
-
-    def _window(self, obs, t):
-        idx = np.arange(t - self.H + 1, t + 1)
-        return obs[np.maximum(idx, 0)]
 
     def _rebuild_flat(self):
         # flattened view: transition k maps to an absolute obs index, and the
@@ -479,65 +467,34 @@ def train(
     plant an unbeatable early reference.
     """
     env_config = env_config or EpisodeConfig()
-    agent = SacAgent(config)
-    buffer = ReplayBuffer(config.buffer_capacity, config.history_len)
-    rng_batch = substream(config.seed, "batch")
-    rng_updates = substream(config.seed, "update-noise")
-    rng_warmup = substream(config.seed, "warmup-actions")
-    rng_act = substream(config.seed, "rollout-actions")
+    actor = _TrainingActor(SacAgent(config))
 
     curve = []
     recent = []
-    total_steps = 0
     best_mean = -math.inf
     track_from = max(0, plateau_floor - plateau_window)
     best_mean_episode = track_from
     stop_reason = "max_episodes"
-    H = config.history_len
 
     for episode in range(max_episodes):
-        ep_seed = substream_seed(config.seed, "train-episode", episode)
-        rng_init = substream(ep_seed, "init")
-        rng_sensor = substream(ep_seed, sensor.rng_stream)
-        state = sample_initial_state(env_config, rng_init)
-        y0 = observe(params, state, sensor, rng_sensor)
-        obs_hist = [y0]
-        window = np.full(H, y0, dtype=np.float32)
-        actions, rewards = [], []
-        terminal = False
-        for _ in range(env_config.max_steps):
-            if total_steps < config.warmup_steps:
-                u = float(rng_warmup.uniform(-config.action_limit, config.action_limit))
-            else:
-                u = agent.act(window, rng=rng_act)
-            state = step(params, state, u + env_config.reference)
-            violated = (
-                abs(state.h) > env_config.h_limit
-                or abs(state.theta) > env_config.theta_limit
+        ep_config = replace(env_config, seed=substream_seed(config.seed, "train-episode", episode))
+        state = sample_initial_state(ep_config, substream(ep_config.seed, "init"))
+        rng_sensor = substream(ep_config.seed, sensor.rng_stream)
+        result, traj, state = simulate(params, ep_config, actor, sensor, state, rng_sensor)
+        if result.cause == "nonfinite_action":
+            raise RuntimeError(
+                f"policy emitted the non-finite action {traj.u[-1]} "
+                f"at step {result.steps} of episode {episode}"
             )
-            y = observe(params, state, sensor, rng_sensor)
-            obs_hist.append(y)
-            actions.append(u)
-            rewards.append(0.0 if violated else 1.0)
-            window = np.roll(window, -1)
-            window[-1] = y
-            total_steps += 1
-            if total_steps > config.warmup_steps and buffer.size >= config.batch_size:
-                for _ in range(config.updates_per_step):
-                    batch = buffer.sample(config.batch_size, rng_batch)
-                    sac_update(agent, batch, config, rng_updates)
-            if violated:
-                terminal = True
-                break
-        buffer.add_episode(obs_hist, actions, rewards, terminal)
-        ep_reward = float(sum(rewards))
-        recent.append(ep_reward)
-        if len(recent) > 100:
-            recent.pop(0)
-        running = float(np.mean(recent))
-        curve.append((episode, running, total_steps))
+        actor.settle()
+        obs = np.append(traj.z, observe(params, state, sensor, rng_sensor))
+        rewards = np.arange(len(traj)) < result.steps  # 1 for each step that stayed in the box
+        actor.buffer.add_episode(obs, traj.u, rewards, not result.success)
+        recent.append(float(result.steps))
+        running = float(np.mean(recent[-100:]))
+        curve.append((episode, running, actor.total_steps))
         if progress is not None:
-            progress(episode, running, total_steps)
+            progress(episode, running, actor.total_steps)
         if episode >= track_from and running > best_mean + plateau_min_gain:
             best_mean = running
             best_mean_episode = episode
@@ -549,7 +506,7 @@ def train(
             break
     return TrainResult(
         curve=curve,
-        agent=agent,
+        agent=actor.agent,
         episodes_run=len(curve),
         stop_reason=stop_reason,
     )
@@ -559,24 +516,65 @@ class PolicyController(Controller):
     """Deterministic evaluation wrapper: history window in, squashed mean out."""
 
     def __init__(self, agent_or_policy):
-        self.policy = (
-            agent_or_policy.policy
-            if isinstance(agent_or_policy, SacAgent)
-            else agent_or_policy
-        )
+        self.policy = getattr(agent_or_policy, "policy", agent_or_policy)
         self.H = self.policy.net.sizes[0]
         self._window = None
 
     def reset(self) -> None:
         self._window = None
 
-    def act(self, y: float) -> float:
+    def _push(self, y: float) -> np.ndarray:
         if self._window is None:
             self._window = np.full(self.H, y, dtype=self.policy.net.dtype)
         else:
             self._window = np.roll(self._window, -1)
             self._window[-1] = y
-        return self.policy.act(self._window, deterministic=True)
+        return self._window
+
+    def act(self, y: float) -> float:
+        return self.policy.act(self._push(y), deterministic=True)
+
+
+class _TrainingActor(PolicyController):
+    """SAC's behaviour policy inside simulate.
+
+    Each act takes a uniform warm-up or a sampled policy action.  The
+    sac_updates a taken step owes run at the next act, or at settle() after
+    the episode, so the agent changes only between two actions.
+    """
+
+    def __init__(self, agent: SacAgent):
+        super().__init__(agent)
+        self.agent = agent
+        self.buffer = ReplayBuffer(agent.config.buffer_capacity, agent.config.history_len)
+        seed = agent.config.seed
+        self.rng_batch = substream(seed, "batch")
+        self.rng_updates = substream(seed, "update-noise")
+        self.rng_warmup = substream(seed, "warmup-actions")
+        self.rng_act = substream(seed, "rollout-actions")
+        self.total_steps = 0
+        self._owed = False
+
+    def act(self, y: float) -> float:
+        self.settle()
+        window = self._push(y)
+        self._owed = True
+        c = self.agent.config
+        if self.total_steps < c.warmup_steps:
+            return float(self.rng_warmup.uniform(-c.action_limit, c.action_limit))
+        return self.agent.act(window, rng=self.rng_act)
+
+    def settle(self) -> None:
+        """Count the step the last action took and run the updates it owes."""
+        if not self._owed:
+            return
+        self._owed = False
+        self.total_steps += 1
+        c = self.agent.config
+        if self.total_steps > c.warmup_steps and self.buffer.size >= c.batch_size:
+            for _ in range(c.updates_per_step):
+                sac_update(self.agent, self.buffer.sample(c.batch_size, self.rng_batch), c,
+                           self.rng_updates)
 
 
 def save_policy(path, policy: GaussianPolicy, metadata: dict | None = None) -> None:

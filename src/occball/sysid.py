@@ -12,10 +12,9 @@ Two routes to a strictly causal LTI model of the fixation-point response:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +23,13 @@ from .cartpole import (
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
-    SimState,
     Trajectory,
-    observe,
-    step,
+    load_trajectory,
+    sample_initial_state,
+    save_trajectory,
+    simulate,
 )
+from .controllers import Controller
 from .linalg import StateSpaceModel, least_squares, spectral_radius
 from .rngtools import substream
 
@@ -170,23 +171,23 @@ def collect_budget(
     return truncate_to_budget(data, budget)
 
 
+class _Excitation(Controller):
+    """Open-loop excitation: each act draws a force from U[-10, 10]."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def act(self, y: float) -> float:
+        return float(self.rng.uniform(-EXCITATION_RANGE, EXCITATION_RANGE))
+
+
 def _collect_one(params, sensor, seed, index, config):
-    rng_init = substream(seed, "sysid-init", index)
-    rng_u = substream(seed, "sysid-excite", index)
+    state = sample_initial_state(config, substream(seed, "sysid-init", index))
+    excitation = _Excitation(substream(seed, "sysid-excite", index))
     rng_sensor = substream(seed, "sysid-" + sensor.rng_stream, index)
-    w = config.init_halfwidth
-    state = SimState.from_array(rng_init.uniform(-w, w, size=4))
-    h0 = state.h
-    zs, us, xs = [], [], []
-    for _ in range(_MAX_EXCITE_STEPS):
-        u = float(rng_u.uniform(-EXCITATION_RANGE, EXCITATION_RANGE))
-        zs.append(observe(params, state, sensor, rng_sensor))
-        us.append(u)
-        xs.append(state.as_array())
-        state = step(params, state, u)
-        if abs(state.h - h0) > config.h_limit or abs(state.theta) > config.theta_limit:
-            break
-    return Trajectory(z=np.array(zs), u=np.array(us), x_full=np.array(xs))
+    _, traj, _ = simulate(params, replace(config, max_steps=_MAX_EXCITE_STEPS), excitation,
+                          sensor, state, rng_sensor, h_origin=state.h)
+    return traj
 
 
 def _regression_rows(data: list[Trajectory], p: int):
@@ -309,19 +310,11 @@ def dataset_hash(data: list[Trajectory]) -> str:
 
 
 def save_dataset(out_dir, data: list[Trajectory], manifest: dict) -> str:
-    """Write one CSV per trajectory plus a manifest; returns the dataset hash."""
+    """Write one trajectory CSV per run plus a manifest; returns the dataset hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(data):
-        with open(out / f"traj_{i:04d}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            cols = ["t", "z", "u"] + (["h", "h_dot", "theta", "theta_dot"] if traj.x_full is not None else [])
-            writer.writerow(cols)
-            for t in range(len(traj)):
-                row = [t, repr(float(traj.z[t])), repr(float(traj.u[t]))]
-                if traj.x_full is not None:
-                    row += [repr(float(v)) for v in traj.x_full[t]]
-                writer.writerow(row)
+        save_trajectory(out / f"traj_{i:04d}.csv", traj)
     digest = dataset_hash(data)
     manifest = dict(manifest)
     manifest.update({"n_trajectories": len(data), "total_samples": total_samples(data),
@@ -333,16 +326,14 @@ def save_dataset(out_dir, data: list[Trajectory], manifest: dict) -> str:
 
 
 def load_dataset(in_dir) -> tuple[list[Trajectory], dict]:
+    """Read a saved dataset; raises ValueError if it no longer hashes to its manifest."""
     out = Path(in_dir)
     with open(out / "manifest.json") as f:
         manifest = json.load(f)
-    data = []
-    for path in sorted(out.glob("traj_*.csv")):
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        arr = np.array(rows)
-        x_full = arr[:, 3:7] if len(header) > 3 else None
-        data.append(Trajectory(z=arr[:, 1], u=arr[:, 2], x_full=x_full))
+    data = [load_trajectory(out / f"traj_{i:04d}.csv") for i in range(manifest["n_trajectories"])]
+    digest = dataset_hash(data)
+    if digest != manifest["dataset_hash"]:
+        raise ValueError(
+            f"dataset in {out} hashes to {digest}, not the manifest's {manifest['dataset_hash']}"
+        )
     return data, manifest

@@ -17,11 +17,13 @@ from occball.cartpole import (
     run_episode,
     sample_initial_state,
     save_trajectory,
+    simulate,
     step,
 )
-from occball.controllers import ZeroController
+from occball.controllers import Controller, ZeroController
 from occball.linalg import poles
 from occball.rngtools import substream
+from occball.sysid import dataset_hash
 
 
 class TestParams:
@@ -223,6 +225,35 @@ class TestRunEpisode:
         assert result.cause == "nonfinite_action"
         assert result.steps == 0
         assert len(traj) == 1
+
+    def test_seeded_episode_is_pinned(self):
+        # a lead compensator on a noisy sensor; the hash moves if the loop's
+        # draw order or arithmetic changes
+        class Lead(Controller):
+            def reset(self):
+                self.prev = None
+
+            def act(self, y):
+                dy = 0.0 if self.prev is None else y - self.prev
+                self.prev = y
+                return 20.0 * y + 2.0 * dy / 0.02
+
+        p = PhysicalParams(ell0=0.7)
+        result, traj = run_episode(p, EpisodeConfig(seed=11), Lead(), make_sensor("depth_like", p))
+        assert (result.steps, result.cause) == (43, "theta_limit")
+        assert dataset_hash([traj]) == (
+            "99280f67a996b71d08bb98e0139b375edfbdcac4385c92320e7d925e26164d7a"
+        )
+
+    def test_cart_limit_measured_from_origin(self):
+        p = PhysicalParams()
+        cfg = EpisodeConfig(max_steps=50)
+        sensor = make_sensor("noise_free", p)
+        start = SimState(h=1.0)
+        result, traj, final = simulate(p, cfg, ZeroController(), sensor, start, None)
+        assert (result.cause, result.steps, len(traj)) == ("h_limit", 0, 1)
+        result, traj, final = simulate(p, cfg, ZeroController(), sensor, start, None, h_origin=1.0)
+        assert result.success and len(traj) == 50 and final == start
 
     def test_max_reward_is_500(self):
         assert EpisodeConfig().max_steps == 500

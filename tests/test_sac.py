@@ -1,3 +1,7 @@
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +21,6 @@ from occball.sac import (
     _soft_update,
     load_policy,
     make_history_state,
-    policy_act,
     sac_update,
     save_policy,
     train,
@@ -116,8 +119,8 @@ class TestPolicy:
         rng = substream(2, "pure")
         policy = GaussianPolicy(4, (8, 8), 10.0, rng)
         state = np.array([0.1, -0.2, 0.3, 0.0])
-        a1 = policy_act(policy, state, deterministic=True)
-        a2 = policy_act(policy, state, deterministic=True)
+        a1 = policy.act(state, deterministic=True)
+        a2 = policy.act(state, deterministic=True)
         assert a1 == a2
 
     def test_zero_weights_zero_action(self):
@@ -125,13 +128,13 @@ class TestPolicy:
         policy = GaussianPolicy(4, (8, 8), 10.0, rng)
         for p in policy.net.parameters():
             p[...] = 0.0
-        assert policy_act(policy, np.ones(4), deterministic=True) == 0.0
+        assert policy.act(np.ones(4), deterministic=True) == 0.0
 
     def test_stochastic_needs_rng(self):
         rng = substream(4, "needs-rng")
         policy = GaussianPolicy(4, (8, 8), 10.0, rng)
         with pytest.raises(ValueError):
-            policy_act(policy, np.ones(4))
+            policy.act(np.ones(4))
 
     def test_log_density_normalizes(self):
         # integrate the squashed density over the action range by the
@@ -314,6 +317,60 @@ class TestTraining:
         assert episodes == tuple(range(len(episodes)))
         assert all(b > a for a, b in zip(steps, steps[1:]))
         assert all(0 <= r <= 5 for r in rewards)
+
+    def test_updates_match_curve(self, monkeypatch):
+        # every step past warm-up owes updates_per_step sac_updates when the
+        # buffer already held a batch at the start of its episode; the ones
+        # owed by an episode's last step run before the next episode starts
+        calls, lengths, per_episode = [0], [], []
+        update, add_episode = sacmod.sac_update, ReplayBuffer.add_episode
+
+        def counting_update(*args):
+            calls[0] += 1
+            return update(*args)
+
+        def recording_add(buf, obs, actions, rewards, terminal):
+            lengths.append(len(actions))
+            return add_episode(buf, obs, actions, rewards, terminal)
+
+        monkeypatch.setattr(sacmod, "sac_update", counting_update)
+        monkeypatch.setattr(ReplayBuffer, "add_episode", recording_add)
+        cfg = replace(TINY, updates_per_step=2)
+        params = PhysicalParams(ell0=0.9)
+        res = train(params, make_sensor("depth_like", params), cfg, max_episodes=10,
+                    env_config=EpisodeConfig(max_steps=300),
+                    progress=lambda *_: per_episode.append(calls[0]))
+        steps = [s for _, _, s in res.curve]
+        assert steps == list(np.cumsum(lengths))
+        expected, before = [], 0
+        for total in steps:
+            owed = sum(1 for k in range(before + 1, total + 1) if k > cfg.warmup_steps)
+            expected.append(cfg.updates_per_step * owed if before >= cfg.batch_size else 0)
+            before = total
+        assert sum(expected) > 0
+        assert np.diff([0] + per_episode).tolist() == expected
+        assert calls[0] == sum(expected)
+
+    def test_nonfinite_policy_action_raises(self, monkeypatch):
+        monkeypatch.setattr(SacAgent, "act", lambda self, state, rng=None: math.nan)
+        params = PhysicalParams()
+        cfg = replace(TINY, warmup_steps=0)
+        with pytest.raises(RuntimeError, match="non-finite action nan"):
+            train(params, make_sensor("noise_free", params), cfg, max_episodes=2,
+                  env_config=EpisodeConfig(max_steps=40))
+
+    def test_warmup_curve_pinned(self):
+        # warm-up actions only: the curve depends on the environment loop
+        # alone, so the hash moves only if the episode loop's draws change
+        params = PhysicalParams(ell0=0.8)
+        cfg = SacConfig(history_len=4, hidden_widths=(8, 8), batch_size=8,
+                        warmup_steps=10**6, seed=5)
+        res = train(params, make_sensor("rgb_like", params), cfg, max_episodes=6,
+                    env_config=EpisodeConfig(max_steps=60))
+        assert [s for _, _, s in res.curve] == [39, 60, 79, 98, 131, 179]
+        assert hashlib.sha256(repr(res.curve).encode()).hexdigest() == (
+            "b9ba95cf0bccc5f1fef198106d41e7ce5dd886099211357962cd838fc20479d4"
+        )
 
     def test_policy_controller_window(self):
         rng = substream(18, "pc")

@@ -271,7 +271,43 @@ class TestDatasetIO:
             assert np.allclose(a.u, b.u)
             assert np.allclose(a.x_full, b.x_full)
 
+    def test_tampered_csv_rejected(self, tmp_path):
+        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        save_dataset(tmp_path / "ds", data, {"seed": 21})
+        path = tmp_path / "ds" / "traj_0001.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[5] = repr(float(cells[5]) + 1.0)  # the force at t = 1
+        lines[2] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="hashes to"):
+            load_dataset(tmp_path / "ds")
+
+    def test_missing_csv_rejected(self, tmp_path):
+        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        save_dataset(tmp_path / "ds", data, {"seed": 21})
+        (tmp_path / "ds" / "traj_0002.csv").unlink()
+        with pytest.raises(FileNotFoundError, match="traj_0002.csv"):
+            load_dataset(tmp_path / "ds")
+
     def test_hash_is_stable(self):
         d1 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
         d2 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
         assert dataset_hash(d1) == dataset_hash(d2)
+
+
+class TestCollectionPinned:
+    """Excitation datasets pinned by hash: draw order and arithmetic are fixed."""
+
+    def test_noise_free(self):
+        data = collect_budget(PARAMS, SENSOR, 3000, seed=7)
+        assert dataset_hash(data) == (
+            "90cf84a72c82484d5b0e0afc6ac1e4348afbe4447bbbb703fda778cb346f7609"
+        )
+
+    def test_rgb_like(self):
+        params = PhysicalParams(ell0=0.8)
+        data = collect_budget(params, make_sensor("rgb_like", params), 3000, seed=7)
+        assert dataset_hash(data) == (
+            "5088430f1d0d71684fc958455a226c41ad7754bd6800d255d9d6576b6752bc51"
+        )
