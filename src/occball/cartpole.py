@@ -11,8 +11,10 @@ exactly the Jacobian of one simulator step.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -66,20 +68,19 @@ class PhysicalParams:
             raise ValueError("fixation point must satisfy 0 < ell0 <= ell")
 
 
-@dataclass(frozen=True)
-class SimState:
-    h: float = 0.0
-    h_dot: float = 0.0
-    theta: float = 0.0
-    theta_dot: float = 0.0
+class SimState(namedtuple("SimState", "h h_dot theta theta_dot")):
+    """Immutable state with finite entries; a named tuple, as one is built per step."""
 
-    def __post_init__(self):
-        for v in (self.h, self.h_dot, self.theta, self.theta_dot):
-            if not math.isfinite(v):
-                raise ValueError("state entries must be finite")
+    __slots__ = ()
+
+    def __new__(cls, h=0.0, h_dot=0.0, theta=0.0, theta_dot=0.0):
+        if not (math.isfinite(h) and math.isfinite(h_dot)
+                and math.isfinite(theta) and math.isfinite(theta_dot)):
+            raise ValueError("state entries must be finite")
+        return tuple.__new__(cls, (h, h_dot, theta, theta_dot))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.h, self.h_dot, self.theta, self.theta_dot])
+        return np.array(self, dtype=float)
 
     @classmethod
     def from_array(cls, x) -> "SimState":
@@ -190,10 +191,10 @@ def step(params: PhysicalParams, state: SimState, u: float) -> SimState:
     """One explicit-Euler step; all right-hand sides use the pre-step state."""
     h_ddot, theta_ddot = accelerations(params, state, u)
     return SimState(
-        h=state.h + params.tau * state.h_dot,
-        h_dot=state.h_dot + params.tau * h_ddot,
-        theta=state.theta + params.tau * state.theta_dot,
-        theta_dot=state.theta_dot + params.tau * theta_ddot,
+        state.h + params.tau * state.h_dot,
+        state.h_dot + params.tau * h_ddot,
+        state.theta + params.tau * state.theta_dot,
+        state.theta_dot + params.tau * theta_ddot,
     )
 
 
@@ -205,10 +206,11 @@ def observe(
 ) -> float:
     """Measured fixation-point position y = h + ell0 sin(theta) + noise."""
     y = state.h + params.ell0 * math.sin(state.theta)
-    if sensor.sigma > 0.0:
+    sigma = sensor.sigma
+    if sigma > 0.0:
         if rng is None:
             raise ValueError("a noisy sensor needs its RNG substream")
-        y += sensor.sigma * rng.standard_normal()
+        y += sigma * rng.standard_normal()
     return y
 
 
@@ -268,7 +270,7 @@ def simulate(
         u = float(controller.act(y))
         zs.append(y)
         us.append(u)
-        xs.append(state.as_array())
+        xs.append(state)
         if not math.isfinite(u):
             cause = "nonfinite_action"
             break
@@ -281,7 +283,8 @@ def simulate(
             break
         steps += 1
     result = EpisodeResult(steps=steps, success=cause == "completed", cause=cause, seed=config.seed)
-    traj = Trajectory(z=np.array(zs), u=np.array(us), x_full=np.array(xs))
+    x_full = np.fromiter(itertools.chain.from_iterable(xs), float, 4 * len(xs)).reshape(-1, 4)
+    traj = Trajectory(z=np.array(zs), u=np.array(us), x_full=x_full)
     return result, traj, state
 
 
@@ -328,6 +331,8 @@ def load_trajectory(path) -> Trajectory:
         if tuple(header) != _TRAJ_COLUMNS:
             raise ValueError(f"unexpected trajectory columns {header}")
         rows = [[float(v) for v in row] for row in reader]
+    if not rows:
+        raise ValueError(f"trajectory file {path} holds no samples")
     arr = np.array(rows)
     x_full = arr[:, 1:5]
     if np.isnan(x_full).any():

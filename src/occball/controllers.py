@@ -49,15 +49,16 @@ class LtiController(Controller):
         if model.p != 1 or model.q != 1:
             raise ValueError("LtiController wraps SISO models only")
         self.model = model
+        # bound once: act runs at every simulator step
+        self._A, self._b, self._C, self._d = model.A, model.B[:, 0], model.C, model.D[0, 0]
         self._x = np.zeros(model.n)
 
     def reset(self) -> None:
         self._x = np.zeros(self.model.n)
 
     def act(self, y: float) -> float:
-        m = self.model
-        u = (m.C @ self._x).item() + m.D[0, 0] * y
-        self._x = m.A @ self._x + m.B[:, 0] * y
+        u = (self._C @ self._x).item() + self._d * y
+        self._x = self._A @ self._x + self._b * y
         return u
 
 

@@ -9,6 +9,7 @@ every draw bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=256)
 def _name_tag(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
 

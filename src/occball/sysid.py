@@ -178,7 +178,8 @@ class _Excitation(Controller):
         self.rng = rng
 
     def act(self, y: float) -> float:
-        return float(self.rng.uniform(-EXCITATION_RANGE, EXCITATION_RANGE))
+        # numpy's uniform(low, high) is low + (high - low) * random(): same bits, less overhead
+        return -EXCITATION_RANGE + 2.0 * EXCITATION_RANGE * self.rng.random()
 
 
 def _collect_one(params, sensor, seed, index, config):
@@ -191,19 +192,22 @@ def _collect_one(params, sensor, seed, index, config):
 
 
 def _regression_rows(data: list[Trajectory], p: int):
-    rows, targets = [], []
+    """ARX regressors [z(t-1), u(t-1), ..., z(t-p), u(t-p)] and targets z(t), t = p .. T-1."""
+    blocks, targets = [], []
     for traj in data:
         z, u = traj.z, traj.u
-        for t in range(p, len(z)):
-            row = np.empty(2 * p)
-            for k in range(1, p + 1):
-                row[2 * (k - 1)] = z[t - k]
-                row[2 * (k - 1) + 1] = u[t - k]
-            rows.append(row)
-            targets.append(z[t])
-    if not rows:
+        T = len(z)
+        if T <= p:
+            continue
+        rows = np.empty((T - p, 2 * p))
+        for k in range(1, p + 1):
+            rows[:, 2 * (k - 1)] = z[p - k:T - k]
+            rows[:, 2 * (k - 1) + 1] = u[p - k:T - k]
+        blocks.append(rows)
+        targets.append(z[p:])
+    if not blocks:
         return np.zeros((0, 2 * p)), np.zeros(0)
-    return np.array(rows), np.array(targets)
+    return np.concatenate(blocks), np.concatenate(targets)
 
 
 def fit_arx(data: list[Trajectory], p: int) -> ArxModel:
@@ -281,18 +285,17 @@ def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
 
 def fit_full_state(data: list[Trajectory], ell0: float, tau: float) -> StateSpaceModel:
     """Regress x(t+1) on (x(t), u(t)) and attach the readout [1, 0, ell0, 0]."""
-    rows, nexts = [], []
+    rows, nexts = [np.zeros((0, 5))], [np.zeros((0, 4))]
     for traj in data:
         if traj.x_full is None:
             raise ValueError("full-state fitting needs trajectories with x_full")
-        X = traj.x_full
-        for t in range(len(traj) - 1):
-            rows.append(np.concatenate([X[t], [traj.u[t]]]))
-            nexts.append(X[t + 1])
+        rows.append(np.column_stack([traj.x_full[:-1], traj.u[:-1]]))
+        nexts.append(traj.x_full[1:])
+    rows, nexts = np.concatenate(rows), np.concatenate(nexts)
     dim = 4 + 1
     if len(rows) < dim:
         raise ValueError(f"insufficient data: {len(rows)} transitions, need at least {dim}")
-    Theta = least_squares(np.array(rows), np.array(nexts))
+    Theta = least_squares(rows, nexts)
     A = Theta[:4, :].T
     B = Theta[4:, :].T
     C = np.array([[1.0, 0.0, ell0, 0.0]])

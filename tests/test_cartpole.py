@@ -40,6 +40,37 @@ class TestParams:
             PhysicalParams(ell0=0.0)
 
 
+class TestSimState:
+    def test_keywords_default_to_zero(self):
+        st = SimState(theta=0.1)
+        assert (st.h, st.h_dot, st.theta, st.theta_dot) == (0.0, 0.0, 0.1, 0.0)
+
+    def test_immutable(self):
+        st = SimState()
+        with pytest.raises(AttributeError):
+            st.h = 1.0
+
+    def test_array_roundtrip(self):
+        x = np.array([0.1, -0.2, 0.03, 0.4])
+        back = SimState.from_array(x).as_array()
+        assert back.dtype == np.float64 and np.array_equal(back, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            SimState(theta_dot=bad)
+
+    def test_overflowing_step_rejected(self):
+        # a finite force whose acceleration overflows must still stop the episode
+        class Huge(Controller):
+            def act(self, y):
+                return 1.7e308
+
+        p = PhysicalParams(M=0.5)
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            run_episode(p, EpisodeConfig(seed=0), Huge(), make_sensor("noise_free", p))
+
+
 class TestAccelerations:
     def test_equilibrium(self):
         assert accelerations(PhysicalParams(), SimState(), 0.0) == (0.0, 0.0)
@@ -279,6 +310,12 @@ class TestTrajectoryIO:
         assert np.array_equal(loaded.u, traj.u)
         assert np.array_equal(loaded.x_full, traj.x_full)
         assert (tmp_path / "traj.csv.meta.json").exists()
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "traj_0000.csv"
+        path.write_text("t,h,h_dot,theta,theta_dot,u,y\n")
+        with pytest.raises(ValueError, match="traj_0000.csv holds no samples"):
+            load_trajectory(path)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from occball.cartpole import EpisodeConfig, PhysicalParams, linearize, make_sensor
+from occball.cartpole import EpisodeConfig, PhysicalParams, linearize, make_sensor, run_episode
 from occball.controllers import Controller, LtiController, ZeroController
 from occball.harness import (
     ExperimentSpec,
@@ -13,6 +13,7 @@ from occball.harness import (
     run_sweep,
 )
 from occball.linalg import StateSpaceModel, solve_dare
+from occball.sysid import dataset_hash
 
 PARAMS = PhysicalParams()
 SENSOR = make_sensor("noise_free", PARAMS)
@@ -79,6 +80,27 @@ class TestEvaluate:
         r2 = evaluate(lqg_controller(), PARAMS, make_sensor("depth_like", PARAMS), 5, seed=3)
         assert r1.avg_reward == r2.avg_reward
         assert r1.episodes == r2.episodes
+
+
+class TestLtiControllerPinned:
+    """An observer-based LtiController on a noisy sensor, pinned to exact values."""
+
+    PARAMS = PhysicalParams(ell0=0.8)
+
+    def test_evaluate(self):
+        sensor = make_sensor("depth_like", self.PARAMS)
+        result = evaluate(lqg_controller(self.PARAMS), self.PARAMS, sensor, 5, seed=3)
+        assert [ep.reward for ep in result.episodes] == [500.0, 500.0, 500.0, 66.0, 20.0]
+        _, traj = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
+                              lqg_controller(self.PARAMS), sensor)
+        assert dataset_hash([traj]) == (
+            "704e165f41da9b46b1e6049268a4b6758d90ec9e3fa5e10b3b158e3a26567b83"
+        )
+
+    def test_max_stabilized_angle(self):
+        sensor = make_sensor("depth_like", self.PARAMS)
+        res = max_stabilized_angle(lqg_controller(self.PARAMS), self.PARAMS, sensor)
+        assert (res.angle_deg, res.monotonic) == (8.12255859375, True)
 
 
 class TestMaxStabilizedAngle:

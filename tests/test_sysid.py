@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from occball.sysid import (
     ArxModel,
     collect_budget,
     collect_sysid_data,
+    _regression_rows,
     dataset_hash,
     fit_arx,
     fit_full_state,
@@ -290,6 +293,14 @@ class TestDatasetIO:
         with pytest.raises(FileNotFoundError, match="traj_0002.csv"):
             load_dataset(tmp_path / "ds")
 
+    def test_truncated_csv_names_file(self, tmp_path):
+        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        save_dataset(tmp_path / "ds", data, {"seed": 21})
+        path = tmp_path / "ds" / "traj_0001.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        with pytest.raises(ValueError, match="traj_0001.csv holds no samples"):
+            load_dataset(tmp_path / "ds")
+
     def test_hash_is_stable(self):
         d1 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
         d2 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
@@ -311,3 +322,46 @@ class TestCollectionPinned:
         assert dataset_hash(data) == (
             "5088430f1d0d71684fc958455a226c41ad7754bd6800d255d9d6576b6752bc51"
         )
+
+
+def _bytes_hash(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestFitsPinned:
+    """Fits pinned by the bytes of their coefficients; the last run is shorter than p."""
+
+    PARAMS = PhysicalParams(ell0=0.8)
+
+    def data(self):
+        data = collect_budget(self.PARAMS, make_sensor("depth_like", self.PARAMS), 353, seed=9)
+        assert [len(t) for t in data] == [49, 33, 33, 21, 32, 50, 20, 57, 33, 22, 3]
+        return data
+
+    def test_regression_rows_match_row_by_row_loop(self):
+        data, p = self.data(), 10
+        rows = [[x for k in range(1, p + 1) for x in (t.z[i - k], t.u[i - k])]
+                for t in data for i in range(p, len(t))]
+        targets = [t.z[i] for t in data for i in range(p, len(t))]
+        Phi, y = _regression_rows(data, p)
+        assert np.array_equal(Phi, np.array(rows)) and np.array_equal(y, np.array(targets))
+
+    def test_arx(self):
+        assert _bytes_hash(fit_arx(self.data(), 10).G) == (
+            "afdfc7c3b6ab1e1d3fd176156dcb666ca7d5101a1f72bf9816ddfa4b8ef74fa4"
+        )
+
+    def test_full_state(self):
+        m = fit_full_state(self.data(), self.PARAMS.ell0, self.PARAMS.tau)
+        assert _bytes_hash(m.A, m.B) == (
+            "f44cd83c5962a9c1de6dfadbb2fbcdf1ad6f8c191f4fc546f0aa6010de5b35d7"
+        )
+
+    def test_empty_data_is_insufficient(self):
+        with pytest.raises(ValueError, match="insufficient data"):
+            fit_arx([], 2)
+        with pytest.raises(ValueError, match="insufficient data"):
+            fit_full_state([], 1.0, 0.02)
