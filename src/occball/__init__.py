@@ -31,7 +31,7 @@ from .linalg import (
     tf_eval,
     transmission_zeros,
 )
-from .sysid import ArxModel, HoKalmanResult, collect_sysid_data, fit_arx, fit_full_state, ho_kalman
-from .synthesis import build_generalized_plant, hinf_synthesize, validate_controller
+from .sysid import ArxModel, HoKalmanResult, fit_arx, fit_full_state, ho_kalman
+from .synthesis import build_generalized_plant, hinf_synthesize
 
 __version__ = "0.1.0"

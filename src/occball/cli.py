@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -19,18 +20,13 @@ from .cartpole import (
     save_trajectory,
 )
 from .controllers import LtiController, ZeroController, load_controller, save_controller
-from .harness import ExperimentSpec, evaluate, max_stabilized_angle, run_sweep
+from .harness import ExperimentSpec, evaluate, identify, max_stabilized_angle, run_sweep
 from .harness import _CURVE_COLUMNS, _write_csv
+from .limits import pole_zero_bound
 from .linalg import PoleZeroSet, StateSpaceModel
 from .rngtools import substream_seed
-from .sysid import (
-    collect_budget,
-    dataset_hash,
-    fit_arx,
-    fit_full_state,
-    ho_kalman,
-    save_dataset,
-)
+from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, load_policy, save_policy, train
+from .sysid import collect_budget, dataset_hash, save_dataset
 from .synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
 
 SENSOR_ALIASES = {
@@ -52,8 +48,6 @@ def _load_any_controller(path: str):
     with open(path) as f:
         head = json.load(f)
     if "blob" in head:
-        from .sac import PolicyController, load_policy
-
         return PolicyController(load_policy(path))
     model, _ = load_controller(path)
     return LtiController(model)
@@ -76,8 +70,6 @@ def limits_cmd(fixations, out):
         pz = PoleZeroSet.from_model(model)
         ups = pz.unstable_poles()
         uzs = pz.unstable_zeros()
-        from .limits import pole_zero_bound
-
         bound = pole_zero_bound(ups, uzs)
         p = max((x.real for x in ups), default=math.nan)
         q = max((x.real for x in uzs), default=math.nan)
@@ -134,10 +126,7 @@ def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, sav
         save_dataset(save_data, data, {
             "seed": seed, "fixation": fixation, "sensor": tier, "budget": budget,
         })
-    if method == "arxhk":
-        model = ho_kalman(fit_arx(data, order_p), order_n).to_model(params.tau)
-    else:
-        model = fit_full_state(data, params.ell0, params.tau)
+    model = identify(method, data, params, order_p, order_n)
     payload = model.to_dict()
     payload["metadata"] = {
         "method": method, "fixation": fixation, "sensor": tier, "budget": budget,
@@ -162,7 +151,12 @@ def synth_cmd(model_in, epsilon, out):
     metadata = payload.pop("metadata", {})
     model = StateSpaceModel.from_dict(payload)
     if epsilon is None:
-        epsilon = EPSILON_BY_TIER.get(metadata.get("sensor", "noise_free"), 5e-3)
+        tier = metadata.get("sensor", "noise_free")
+        if tier not in SENSOR_ALIASES:
+            raise click.ClickException(
+                f"model metadata names the unknown sensor tier {tier!r}; pass --epsilon"
+            )
+        epsilon = EPSILON_BY_TIER[_tier(tier)]
     syn = hinf_synthesize(build_generalized_plant(model, epsilon))
     if not syn.feasible:
         click.echo(f"synthesis infeasible: {syn.diagnostics.get('reason', '')}", err=True)
@@ -190,13 +184,11 @@ def synth_cmd(model_in, epsilon, out):
 @click.option("--out-dir", type=click.Path(), required=True)
 def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
     """Train a soft actor-critic agent and save policy plus learning curve."""
-    from .sac import SacConfig, save_policy, train
-
     params = PhysicalParams(ell0=fixation)
     tier = _tier(sensor)
     spec = make_sensor(tier, params)
     if alpha is None:
-        alpha = 0.01 if tier == "rgb_like" else 0.2
+        alpha = ALPHA_BY_TIER[tier]
     config = SacConfig(seed=seed, alpha=alpha)
 
     def progress(episode, running, steps):
@@ -262,7 +254,7 @@ def sweep_cmd(spec_path, out_dir, jobs, seed):
     """Run a full experiment grid and write per-cell and median CSVs."""
     spec = ExperimentSpec.from_json(spec_path)
     if seed is not None:
-        spec = ExperimentSpec(**{**spec.__dict__, "seed": seed})
+        spec = replace(spec, seed=seed)
     rows = run_sweep(spec, out_dir, jobs=jobs)
     failures = [r for r in rows if r["error"]]
     click.echo(f"{len(rows)} cells ({len(failures)} with errors) -> {out_dir}")

@@ -1,10 +1,10 @@
-"""Experiment orchestration: evaluation, angle bisection, and sweep grids.
+"""Experiment orchestration: identification, scoring, evaluation, and sweep grids.
 
 The sweep reproduces the benchmark protocol end to end: collect excitation
 data at each (fixation, sensor, budget) cell, identify a model, synthesize a
-controller, then score it on the nonlinear simulator (survival reward,
-success rate, largest stabilized initial angle) and against the theoretical
-bound on the true linearization.  Every cell is seeded independently, so
+controller, then score it against the theoretical bound on the true
+linearization and on the nonlinear simulator (largest stabilized initial
+angle, survival reward, success rate).  Every cell is seeded independently, so
 re-running a sweep reproduces its outputs byte for byte.
 """
 
@@ -33,6 +33,7 @@ from .controllers import Controller, LtiController
 from .limits import bound_for_model, closed_loop, hinf_norm
 from .linalg import StateSpaceModel, negate_output
 from .rngtools import substream_seed
+from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, train
 from .sysid import (
     collect_budget,
     dataset_hash,
@@ -46,6 +47,8 @@ __all__ = [
     "EvalResult",
     "AngleResult",
     "ExperimentSpec",
+    "identify",
+    "score",
     "evaluate",
     "max_stabilized_angle",
     "run_sweep",
@@ -178,6 +181,39 @@ def max_stabilized_angle(
     return AngleResult(float(lo), monotonic, tuple(probes))
 
 
+def identify(method: str, data, params: PhysicalParams, arx_order: int,
+             model_order: int) -> StateSpaceModel:
+    """Fit a model of the fixation-point response to one excitation dataset.
+
+    "arxhk" fits an order-arx_order ARX predictor and realizes it at order
+    model_order by Ho-Kalman; "fullstate" regresses the logged states.
+    """
+    if method == "arxhk":
+        return ho_kalman(fit_arx(data, arx_order), model_order).to_model(params.tau)
+    if method == "fullstate":
+        return fit_full_state(data, params.ell0, params.tau)
+    raise ValueError(f"unknown identification method {method!r}")
+
+
+def score(model: StateSpaceModel, params: PhysicalParams, sensor: SensorSpec,
+          probe_seed: int) -> dict:
+    """Score a synthesized controller against the true plant.
+
+    Closes the loop with the true linearization (the controller drives the
+    force from the measurement with negative feedback), reports its internal
+    stability and ||T||_inf (NaN when the loop is unstable), and bisects the
+    largest initial tilt the controller survives on the nonlinear simulator.
+    """
+    loop = closed_loop(linearize(params), negate_output(model))
+    hinf_T = hinf_norm(loop.T) if loop.internally_stable else math.nan
+    angle = max_stabilized_angle(LtiController(model), params, sensor, probe_seed=probe_seed)
+    return {
+        "stable_true": loop.internally_stable,
+        "hinf_T": hinf_T,
+        "max_angle_deg": angle.angle_deg,
+    }
+
+
 def _controller_hash(model: StateSpaceModel) -> str:
     h = hashlib.sha256()
     for mat in (model.A, model.B, model.C, model.D):
@@ -212,14 +248,10 @@ def _hinf_cell(method, params, tier, budget, repeat, spec):
         "success_rate": math.nan,
         "error": "",
     }
-    truth = linearize(params)
-    row["bound"] = bound_for_model(truth).value
+    row["bound"] = bound_for_model(linearize(params)).value
     try:
-        if method == "hinf_arxhk":
-            arx = fit_arx(data, spec.arx_order)
-            model = ho_kalman(arx, spec.model_order).to_model(params.tau)
-        else:
-            model = fit_full_state(data, params.ell0, params.tau)
+        model = identify(method.removeprefix("hinf_"), data, params, spec.arx_order,
+                         spec.model_order)
         plant = build_generalized_plant(model, EPSILON_BY_TIER[tier])
         syn = hinf_synthesize(plant)
     except (ValueError, RuntimeError) as exc:
@@ -231,14 +263,9 @@ def _hinf_cell(method, params, tier, budget, repeat, spec):
     row["feasible"] = True
     row["gamma"] = syn.gamma_achieved
     row["controller_hash"] = _controller_hash(syn.controller)
-    loop = closed_loop(truth, negate_output(syn.controller))
-    row["stable_true"] = loop.internally_stable
-    if loop.internally_stable:
-        row["hinf_T"] = hinf_norm(loop.T)
-    controller = LtiController(syn.controller)
-    angle = max_stabilized_angle(controller, params, sensor, probe_seed=cell_seed)
-    row["max_angle_deg"] = angle.angle_deg
-    ev = evaluate(controller, params, sensor, spec.n_eval_episodes, seed=cell_seed)
+    row.update(score(syn.controller, params, sensor, cell_seed))
+    ev = evaluate(LtiController(syn.controller), params, sensor, spec.n_eval_episodes,
+                  seed=cell_seed)
     row["avg_reward"] = ev.avg_reward
     row["success_rate"] = ev.success_rate
     return row
@@ -341,8 +368,6 @@ def _sweep_worker(args):
 
 
 def _run_rl_sweep(spec: ExperimentSpec, out: Path):
-    from .sac import SacConfig, train, PolicyController
-
     rows = []
     for fix in spec.fixations:
         for tier in spec.sensor_tiers:
@@ -350,10 +375,7 @@ def _run_rl_sweep(spec: ExperimentSpec, out: Path):
             sensor = make_sensor(tier, params)
             for run in range(spec.rl_seeds):
                 run_seed = substream_seed(spec.seed, f"rl-{fix}-{tier}", run)
-                config = SacConfig(
-                    seed=run_seed,
-                    alpha=0.01 if tier == "rgb_like" else 0.2,
-                )
+                config = SacConfig(seed=run_seed, alpha=ALPHA_BY_TIER[tier])
                 outcome = train(params, sensor, config, max_episodes=spec.rl_max_episodes)
                 rows_curve = [dict(zip(_CURVE_COLUMNS, c)) for c in outcome.curve]
                 _write_csv(out / f"rl_curve_{fix}_{tier}_{run}.csv", _CURVE_COLUMNS, rows_curve)

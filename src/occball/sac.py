@@ -30,12 +30,12 @@ from .rngtools import substream, substream_seed
 
 __all__ = [
     "SacConfig",
+    "ALPHA_BY_TIER",
     "Mlp",
     "GaussianPolicy",
     "SacAgent",
     "ReplayBuffer",
     "TrainResult",
-    "make_history_state",
     "sac_update",
     "train",
     "PolicyController",
@@ -73,14 +73,12 @@ class SacConfig:
             raise ValueError("alpha must be positive")
 
 
-def make_history_state(observations, H: int) -> np.ndarray:
-    """Last H observations, oldest first, left-padded with the first one."""
-    obs = np.asarray(observations, dtype=float).ravel()
-    if len(obs) < 1:
-        raise ValueError("need at least one observation")
-    if len(obs) >= H:
-        return obs[-H:].copy()
-    return np.concatenate([np.full(H - len(obs), obs[0]), obs])
+# entropy temperature per sensor tier
+ALPHA_BY_TIER = {
+    "noise_free": 0.2,
+    "depth_like": 0.2,
+    "rgb_like": 0.01,
+}
 
 
 class Mlp:

@@ -27,7 +27,7 @@ from .linalg import (
     solve_dare,
     spectral_radius,
 )
-from .limits import bound_for_model, closed_loop, hinf_norm, linf_norm
+from .limits import linf_norm
 
 __all__ = [
     "GeneralizedPlant",
@@ -35,8 +35,6 @@ __all__ = [
     "EPSILON_BY_TIER",
     "build_generalized_plant",
     "hinf_synthesize",
-    "validate_controller",
-    "ValidationReport",
 ]
 
 # control-effort weights cross-validated per sensor tier
@@ -89,15 +87,6 @@ class SynthesizedController:
     feasible: bool
     gamma_design: float = math.nan
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    internally_stable: bool
-    hinf_T: float
-    bound: float
-    bound_respected: bool
-    max_angle_deg: float
 
 
 def build_generalized_plant(model: StateSpaceModel, epsilon: float) -> GeneralizedPlant:
@@ -305,42 +294,3 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
         diagnostics=info,
     )
 
-
-def validate_controller(
-    synthesized: SynthesizedController,
-    true_params,
-    sensor=None,
-    angle_tol_deg: float = 0.01,
-) -> ValidationReport:
-    """Check a synthesized controller against the true plant.
-
-    Reports internal stability of the loop with the true linearization, the
-    measured complementary-sensitivity norm against the theoretical lower
-    bound, and the largest stabilized initial angle on the nonlinear
-    simulator.
-    """
-    from .cartpole import linearize, make_sensor
-    from .controllers import LtiController
-    from .harness import max_stabilized_angle
-    from .linalg import negate_output
-
-    if not synthesized.feasible or synthesized.controller is None:
-        raise ValueError("cannot validate an infeasible synthesis result")
-    truth = linearize(true_params)
-    loop = closed_loop(truth, negate_output(synthesized.controller))
-    bound = bound_for_model(truth)
-    if loop.internally_stable:
-        t_norm = hinf_norm(loop.T)
-    else:
-        t_norm = math.inf
-    sensor = sensor or make_sensor("noise_free", true_params)
-    angle = max_stabilized_angle(
-        LtiController(synthesized.controller), true_params, sensor, tol_deg=angle_tol_deg
-    )
-    return ValidationReport(
-        internally_stable=loop.internally_stable,
-        hinf_T=t_norm,
-        bound=bound.value,
-        bound_respected=bool(t_norm >= bound.value - 1e-3),
-        max_angle_deg=angle.angle_deg,
-    )

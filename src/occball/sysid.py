@@ -36,7 +36,6 @@ from .rngtools import substream
 __all__ = [
     "ArxModel",
     "HoKalmanResult",
-    "collect_sysid_data",
     "collect_budget",
     "total_samples",
     "truncate_to_budget",
@@ -101,26 +100,6 @@ class HoKalmanResult:
 
     def to_model(self, dt: float = 1.0) -> StateSpaceModel:
         return StateSpaceModel(self.A_hat, self.B_hat, self.C_hat, np.zeros((1, 1)), dt)
-
-
-def collect_sysid_data(
-    params: PhysicalParams,
-    sensor: SensorSpec,
-    n_trajectories: int,
-    seed: int,
-    config: EpisodeConfig | None = None,
-) -> list[Trajectory]:
-    """Excite the plant with iid uniform inputs and record (z, u, x) runs.
-
-    Each trajectory starts from a uniform initial state, applies forces drawn
-    from U[-10, 10], and stops once the cart drifts more than h_limit from
-    where it started or the pole leaves the angle box.  Full states are
-    always recorded alongside the (possibly noisy) sensor outputs.
-    """
-    if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    config = config or EpisodeConfig()
-    return [_collect_one(params, sensor, seed, i, config) for i in range(n_trajectories)]
 
 
 def total_samples(data: list[Trajectory]) -> int:

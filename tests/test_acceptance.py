@@ -25,8 +25,8 @@ from occball.cartpole import (
     make_sensor,
     run_episode,
 )
-from occball.controllers import LtiController, ZeroController
-from occball.harness import ExperimentSpec, evaluate, max_stabilized_angle, run_sweep
+from occball.controllers import ZeroController
+from occball.harness import ExperimentSpec, evaluate, run_sweep, score
 from occball.limits import bound_for_model, closed_loop, hinf_norm
 from occball.linalg import (
     StateSpaceModel,
@@ -193,17 +193,12 @@ def table2_sweep():
             row = {"fixation": ell0, "repeat": repeat, "seed": seed, "syn": syn,
                    "params": params}
             if syn.feasible:
-                truth = linearize(params)
-                loop = closed_loop(truth, negate_output(syn.controller))
-                row["stable_true"] = loop.internally_stable
-                row["hinf_T"] = hinf_norm(loop.T) if loop.internally_stable else math.inf
-                row["bound"] = bound_for_model(truth).value
+                row["bound"] = bound_for_model(linearize(params)).value
                 for tier in ("noise_free", "depth_like", "rgb_like"):
-                    sensor = make_sensor(tier, params)
-                    ang = max_stabilized_angle(
-                        LtiController(syn.controller), params, sensor, probe_seed=seed
-                    )
-                    row[f"angle_{tier}"] = ang.angle_deg
+                    scored = score(syn.controller, params, make_sensor(tier, params), seed)
+                    row["stable_true"] = scored["stable_true"]
+                    row["hinf_T"] = scored["hinf_T"]
+                    row[f"angle_{tier}"] = scored["max_angle_deg"]
             rows.append(row)
     return rows
 

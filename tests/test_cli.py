@@ -88,6 +88,39 @@ class TestPipeline:
         assert result.exit_code != 0
 
 
+class TestSynthEpsilon:
+    """synth picks epsilon from the tier named in the model's metadata."""
+
+    def model_with_sensor(self, runner, tmp_path, sensor):
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "sysid", "--fixation", "1.0", "--budget", "2000", "--method", "fullstate",
+            "--seed", "5", "--out", str(model_path),
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(model_path.read_text())
+        payload["metadata"]["sensor"] = sensor
+        model_path.write_text(json.dumps(payload))
+        return model_path
+
+    def test_alias_resolves_to_tier(self, runner, tmp_path):
+        model_path = self.model_with_sensor(runner, tmp_path, "depth")
+        ctrl_path = tmp_path / "controller.json"
+        result = runner.invoke(main, ["synth", "--model-in", str(model_path),
+                                      "--out", str(ctrl_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(ctrl_path.read_text())["metadata"]["epsilon"] == 1e-6
+
+    def test_unknown_tier_named(self, runner, tmp_path):
+        model_path = self.model_with_sensor(runner, tmp_path, "bogus")
+        ctrl_path = tmp_path / "controller.json"
+        result = runner.invoke(main, ["synth", "--model-in", str(model_path),
+                                      "--out", str(ctrl_path)])
+        assert result.exit_code != 0
+        assert "unknown sensor tier 'bogus'" in result.output
+        assert not ctrl_path.exists()
+
+
 class TestTrainRl:
     def test_smoke(self, runner, tmp_path):
         result = runner.invoke(main, [

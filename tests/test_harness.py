@@ -9,11 +9,15 @@ from occball.controllers import Controller, LtiController, ZeroController
 from occball.harness import (
     ExperimentSpec,
     evaluate,
+    identify,
     max_stabilized_angle,
     run_sweep,
+    score,
 )
+from occball.limits import bound_for_model
 from occball.linalg import StateSpaceModel, solve_dare
-from occball.sysid import dataset_hash
+from occball.synthesis import build_generalized_plant, hinf_synthesize
+from occball.sysid import collect_budget, dataset_hash
 
 PARAMS = PhysicalParams()
 SENSOR = make_sensor("noise_free", PARAMS)
@@ -118,6 +122,42 @@ class TestMaxStabilizedAngle:
         res = max_stabilized_angle(lqg_controller(), PARAMS, SENSOR)
         assert res.angle_deg > 1.0
         assert all(angle > res.angle_deg for angle, _ in res.probes_above)
+
+
+class TestScore:
+    """identify, synthesize, then score against the true plant."""
+
+    @staticmethod
+    def synthesized(method, params, budget, seed):
+        data = collect_budget(params, make_sensor("noise_free", params), budget, seed=seed)
+        model = identify(method, data, params, arx_order=10, model_order=4)
+        return hinf_synthesize(build_generalized_plant(model, 5e-3))
+
+    def test_report_fields(self):
+        syn = self.synthesized("fullstate", PARAMS, 5000, seed=3)
+        scored = score(syn.controller, PARAMS, SENSOR, probe_seed=2024)
+        bound = bound_for_model(linearize(PARAMS)).value
+        assert scored["stable_true"]
+        assert bound == pytest.approx(1.0)
+        assert scored["hinf_T"] >= bound - 1e-3
+        assert scored["max_angle_deg"] > 1.0
+
+    def test_model_mismatch_flagged(self):
+        # tiny-budget identification at a hard fixation: the synthesized
+        # controller stabilizes its own model but not the true plant
+        params = PhysicalParams(ell0=0.7)
+        syn = self.synthesized("arxhk", params, 100, seed=13)
+        if not syn.feasible:
+            pytest.skip("synthesis infeasible on this identified model")
+        scored = score(syn.controller, params, make_sensor("noise_free", params), 2024)
+        assert not scored["stable_true"]
+        assert math.isnan(scored["hinf_T"])
+        assert scored["max_angle_deg"] == 0.0
+
+    def test_identify_rejects_unknown_method(self):
+        data = collect_budget(PARAMS, SENSOR, 200, seed=3)
+        with pytest.raises(ValueError, match="unknown identification method 'hinf_arxhk'"):
+            identify("hinf_arxhk", data, PARAMS, arx_order=10, model_order=4)
 
 
 class TestExperimentSpec:

@@ -20,7 +20,6 @@ from occball.sac import (
     _policy_loss_grads,
     _soft_update,
     load_policy,
-    make_history_state,
     sac_update,
     save_policy,
     train,
@@ -82,22 +81,26 @@ def margin_batch(rng, q1, q2, policy, H=3, B=5):
             return s, a, y, xi
 
 
+def pushed_window(observations, H):
+    """The history window PolicyController holds after pushing each observation."""
+    controller = PolicyController(GaussianPolicy(H, (4,), 2.0, substream(0, "history")))
+    for y in observations:
+        window = controller._push(y)
+    return window
+
+
 class TestHistoryState:
     def test_constant_stream(self):
-        assert np.allclose(make_history_state([2.5], 3), [2.5, 2.5, 2.5])
+        assert np.allclose(pushed_window([2.5] * 5, 3), [2.5, 2.5, 2.5])
 
     def test_fill_rule_single_observation(self):
-        assert np.allclose(make_history_state([1.0], 3), [1.0, 1.0, 1.0])
+        assert np.allclose(pushed_window([1.0], 3), [1.0, 1.0, 1.0])
 
     def test_sliding_window(self):
-        assert np.allclose(make_history_state([1, 2, 3, 4], 3), [2, 3, 4])
+        assert np.allclose(pushed_window([1, 2, 3, 4], 3), [2, 3, 4])
 
     def test_partial_fill(self):
-        assert np.allclose(make_history_state([5, 7], 4), [5, 5, 5, 7])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            make_history_state([], 3)
+        assert np.allclose(pushed_window([5, 7], 4), [5, 5, 5, 7])
 
 
 class TestPolicy:

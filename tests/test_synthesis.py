@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +13,6 @@ from occball.synthesis import (
     _attempt_level,
     build_generalized_plant,
     hinf_synthesize,
-    validate_controller,
 )
 
 PARAMS = PhysicalParams(ell0=1.0)
@@ -167,33 +164,3 @@ class TestBoundConsistency:
         bound = bound_for_model(truth)
         assert hinf_norm(loop.T) >= bound.value - 1e-3
 
-
-class TestValidateController:
-    def test_report_fields(self):
-        model = identified_model(budget=5000, seed=3)
-        syn = hinf_synthesize(build_generalized_plant(model, 5e-3))
-        report = validate_controller(syn, PARAMS)
-        assert report.internally_stable
-        assert report.bound == pytest.approx(1.0)
-        assert report.bound_respected
-        assert report.hinf_T >= 1.0 - 1e-3
-        assert report.max_angle_deg > 1.0
-
-    def test_model_mismatch_flagged(self):
-        # tiny-budget identification at a hard fixation: the synthesized
-        # controller stabilizes its own model but not the true plant
-        model = identified_model(budget=100, seed=13, ell0=0.7, method="arxhk")
-        syn = hinf_synthesize(build_generalized_plant(model, 5e-3))
-        if not syn.feasible:
-            pytest.skip("synthesis infeasible on this identified model")
-        report = validate_controller(syn, PhysicalParams(ell0=0.7))
-        assert not report.internally_stable
-        assert math.isinf(report.hinf_T)
-        assert report.max_angle_deg == 0.0
-
-    def test_rejects_infeasible(self):
-        from occball.synthesis import SynthesizedController
-
-        bad = SynthesizedController(None, math.inf, 1e-2, False)
-        with pytest.raises(ValueError):
-            validate_controller(bad, PARAMS)

@@ -9,7 +9,6 @@ from occball.rngtools import substream
 from occball.sysid import (
     ArxModel,
     collect_budget,
-    collect_sysid_data,
     _regression_rows,
     dataset_hash,
     fit_arx,
@@ -54,21 +53,21 @@ def observer_markov_arx(At, B, C, L, p):
 
 class TestCollect:
     def test_deterministic(self):
-        d1 = collect_sysid_data(PARAMS, SENSOR, 5, seed=11)
-        d2 = collect_sysid_data(PARAMS, SENSOR, 5, seed=11)
+        d1 = collect_budget(PARAMS, SENSOR, 200, seed=11)
+        d2 = collect_budget(PARAMS, SENSOR, 200, seed=11)
         for a, b in zip(d1, d2):
             assert np.array_equal(a.z, b.z)
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.x_full, b.x_full)
 
     def test_every_trajectory_terminates(self):
-        data = collect_sysid_data(PARAMS, SENSOR, 30, seed=3)
+        data = collect_budget(PARAMS, SENSOR, 1200, seed=3)
         assert all(1 <= len(t) < 100_000 for t in data)
         # escape is fast under the aggressive excitation
         assert np.mean([len(t) for t in data]) < 500
 
     def test_inputs_within_excitation_range(self):
-        data = collect_sysid_data(PARAMS, SENSOR, 10, seed=4)
+        data = collect_budget(PARAMS, SENSOR, 500, seed=4)
         for t in data:
             assert np.max(np.abs(t.u)) <= 10.0
 
@@ -77,12 +76,12 @@ class TestCollect:
         assert total_samples(data) == 777
 
     def test_truncate_rejects_short_dataset(self):
-        data = collect_sysid_data(PARAMS, SENSOR, 1, seed=5)
+        data = collect_budget(PARAMS, SENSOR, 50, seed=5)
         with pytest.raises(ValueError):
             truncate_to_budget(data, total_samples(data) + 1)
 
     def test_records_full_state_always(self):
-        data = collect_sysid_data(PARAMS, make_sensor("rgb_like", PARAMS), 2, seed=6)
+        data = collect_budget(PARAMS, make_sensor("rgb_like", PARAMS), 100, seed=6)
         assert all(t.x_full is not None and t.x_full.shape[1] == 4 for t in data)
 
 
@@ -106,7 +105,7 @@ class TestFitArx:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            fit_arx(collect_sysid_data(PARAMS, SENSOR, 1, seed=1), 0)
+            fit_arx(collect_budget(PARAMS, SENSOR, 50, seed=1), 0)
 
     def test_insufficient_rows_error_names_requirement(self):
         tiny = [Trajectory(z=np.zeros(11), u=np.zeros(11))]
@@ -116,7 +115,7 @@ class TestFitArx:
     def test_noise_free_one_step_prediction(self):
         data = collect_budget(PARAMS, SENSOR, 8000, seed=8)
         arx = fit_arx(data, 10)
-        held = collect_sysid_data(PARAMS, SENSOR, 10, seed=999)
+        held = collect_budget(PARAMS, SENSOR, 400, seed=999)
         errs = []
         for traj in held:
             if len(traj) <= 10:
@@ -226,14 +225,14 @@ class TestFitFullState:
         assert np.max(np.abs(m.B - truth.B)) < 1e-8
 
     def test_poles_from_nonlinear_data(self):
-        data = collect_sysid_data(PARAMS, SENSOR, 100, seed=5)
+        data = collect_budget(PARAMS, SENSOR, 4000, seed=5)
         m = fit_full_state(data, PARAMS.ell0, PARAMS.tau)
         got = np.sort_complex(np.array(poles(m)))
         want = np.sort_complex(np.array(poles(linearize(PARAMS))))
         assert np.max(np.abs(got - want)) < 2e-2
 
     def test_readout_row_fixed(self):
-        data = collect_sysid_data(PhysicalParams(ell0=0.7), SENSOR, 10, seed=5)
+        data = collect_budget(PhysicalParams(ell0=0.7), SENSOR, 400, seed=5)
         m = fit_full_state(data, 0.7, 0.02)
         assert np.allclose(m.C, [[1.0, 0.0, 0.7, 0.0]])
 
@@ -264,7 +263,7 @@ class TestFitFullState:
 
 class TestDatasetIO:
     def test_roundtrip_and_hash(self, tmp_path):
-        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
         digest = save_dataset(tmp_path / "ds", data, {"seed": 21})
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["dataset_hash"] == digest
@@ -275,7 +274,7 @@ class TestDatasetIO:
             assert np.allclose(a.x_full, b.x_full)
 
     def test_tampered_csv_rejected(self, tmp_path):
-        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
         save_dataset(tmp_path / "ds", data, {"seed": 21})
         path = tmp_path / "ds" / "traj_0001.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -287,14 +286,14 @@ class TestDatasetIO:
             load_dataset(tmp_path / "ds")
 
     def test_missing_csv_rejected(self, tmp_path):
-        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
         save_dataset(tmp_path / "ds", data, {"seed": 21})
         (tmp_path / "ds" / "traj_0002.csv").unlink()
         with pytest.raises(FileNotFoundError, match="traj_0002.csv"):
             load_dataset(tmp_path / "ds")
 
     def test_truncated_csv_names_file(self, tmp_path):
-        data = collect_sysid_data(PARAMS, SENSOR, 3, seed=21)
+        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
         save_dataset(tmp_path / "ds", data, {"seed": 21})
         path = tmp_path / "ds" / "traj_0001.csv"
         path.write_text(path.read_text().splitlines(keepends=True)[0])
@@ -302,8 +301,8 @@ class TestDatasetIO:
             load_dataset(tmp_path / "ds")
 
     def test_hash_is_stable(self):
-        d1 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
-        d2 = collect_sysid_data(PARAMS, SENSOR, 2, seed=22)
+        d1 = collect_budget(PARAMS, SENSOR, 100, seed=22)
+        d2 = collect_budget(PARAMS, SENSOR, 100, seed=22)
         assert dataset_hash(d1) == dataset_hash(d2)
 
 
