@@ -1,5 +1,9 @@
+import copy
 import hashlib
 import math
+import multiprocessing
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +83,76 @@ def margin_batch(rng, q1, q2, policy, H=3, B=5):
         v2 = q2.forward(x)[:, 0]
         if np.abs(v1 - v2).min() > 1e-3:
             return s, a, y, xi
+
+
+def serial_update(agent, batch, config, rng):
+    """Reference: sac_update's arithmetic in one thread, in its serial order."""
+    s, a, r, s2, d = batch["s"], batch["a"], batch["r"], batch["s2"], batch["d"]
+    dtype = agent.q1.dtype
+    B = len(r)
+    xi2 = rng.standard_normal(B).astype(dtype)
+    a2, log_p2 = agent.policy.sample(s2, xi2)
+    x2 = np.concatenate([s2, a2[:, None]], axis=1)
+    q1t = agent.q1_targ.forward(x2)[:, 0]
+    q2t = agent.q2_targ.forward(x2)[:, 0]
+    y = r + config.gamma_discount * (1.0 - d) * (np.minimum(q1t, q2t) - config.alpha * log_p2)
+    loss_q1, grads_q1, _ = _critic_loss_grads(agent.q1, s, a, y)
+    loss_q2, grads_q2, _ = _critic_loss_grads(agent.q2, s, a, y)
+    xi = rng.standard_normal(B).astype(dtype)
+    loss_pi, grads_pi, diag = _policy_loss_grads(
+        agent.policy, agent.q1, agent.q2, s, xi, config.alpha
+    )
+    agent.opt_q1.update(agent.q1.parameters(), grads_q1)
+    agent.opt_q2.update(agent.q2.parameters(), grads_q2)
+    agent.opt_policy.update(agent.policy.net.parameters(), grads_pi)
+    _soft_update(agent.q1_targ, agent.q1, config.tau_target)
+    _soft_update(agent.q2_targ, agent.q2, config.tau_target)
+    return {"loss_q1": loss_q1, "loss_q2": loss_q2, "loss_pi": loss_pi, **diag}
+
+
+def agent_state(agent):
+    """Every parameter, target parameter and Adam moment, then the Adam step counts."""
+    arrays = []
+    for net in (agent.policy.net, agent.q1, agent.q2, agent.q1_targ, agent.q2_targ):
+        arrays += net.parameters()
+    opts = (agent.opt_policy, agent.opt_q1, agent.opt_q2)
+    for opt in opts:
+        arrays += opt.m + opt.v
+    return [p.copy() for p in arrays], [opt.t for opt in opts]
+
+
+def assert_same_state(state, agent):
+    arrays, steps = agent_state(agent)
+    assert steps == state[1]
+    assert len(arrays) == len(state[0])
+    for before, after in zip(state[0], arrays):
+        assert before.dtype == after.dtype and np.array_equal(before, after)
+
+
+PINNED = SacConfig(history_len=20, hidden_widths=(32, 32), batch_size=64, seed=21)
+
+
+def pinned_buffer():
+    buf = ReplayBuffer(10_000, PINNED.history_len)
+    rng = substream(22, "pinned-buffer")
+    for k in range(6):
+        T = 30 + 7 * k
+        buf.add_episode(rng.normal(0, 0.05, T + 1), rng.uniform(-10, 10, T), np.ones(T), k % 2 == 0)
+    return buf
+
+
+def run_pinned(update, updates=25):
+    agent = SacAgent(PINNED)
+    buf = pinned_buffer()
+    rng_batch, rng_noise = substream(23, "pinned-batch"), substream(24, "pinned-noise")
+    for _ in range(updates):
+        diag = update(agent, buf.sample(PINNED.batch_size, rng_batch), PINNED, rng_noise)
+    return agent, diag
+
+
+def _update_and_send(agent, batch, config, seed, conn):
+    conn.send(sac_update(agent, batch, config, substream(seed, "fork-noise")))
+    conn.close()
 
 
 def pushed_window(observations, H):
@@ -238,8 +312,86 @@ class TestSacUpdate:
             "s2": np.zeros((4, 3)),
             "d": np.zeros(4),
         }
+        before = agent_state(agent)
         with pytest.raises(RuntimeError):
             sac_update(agent, batch, cfg, rng)
+        assert_same_state(before, agent)
+
+    def test_policy_branch_error_is_reraised(self, monkeypatch):
+        agent, cfg = self._fresh()
+        rng = substream(15, "raise")
+        batch = {
+            "s": rng.uniform(-1, 1, (4, 3)),
+            "a": rng.uniform(-1, 1, 4),
+            "r": np.ones(4),
+            "s2": rng.uniform(-1, 1, (4, 3)),
+            "d": np.zeros(4),
+        }
+
+        def broken(*args):
+            raise ValueError("policy branch failed")
+
+        before = agent_state(agent)
+        monkeypatch.setattr(sacmod, "_policy_loss_grads", broken)
+        with pytest.raises(ValueError, match="policy branch failed"):
+            sac_update(agent, batch, cfg, rng)
+        assert_same_state(before, agent)
+        # the helper thread outlives the error and serves the next update
+        monkeypatch.undo()
+        expected = copy.deepcopy(agent)
+        diag = sac_update(agent, batch, cfg, substream(15, "after"))
+        assert diag == serial_update(expected, batch, cfg, substream(15, "after"))
+        assert_same_state(agent_state(expected), agent)
+
+    def test_matches_serial_reference_bitwise(self):
+        agent, diag = run_pinned(sac_update)
+        reference, diag_ref = run_pinned(serial_update)
+        assert diag == diag_ref
+        assert_same_state(agent_state(reference), agent)
+
+    def test_pinned_update_hash(self):
+        # sha256 of every parameter and Adam moment after 25 updates, taken
+        # from the serial implementation (x86-64, OpenBLAS 0.3.31 float32
+        # kernels); test_matches_serial_reference_bitwise holds on any BLAS
+        agent, _ = run_pinned(sac_update)
+        h = hashlib.sha256()
+        for p in agent_state(agent)[0]:
+            h.update(p.tobytes())
+        assert h.hexdigest() == (
+            "1158731fae7f7eecb0e4b23aa3130ba3c91bae7ffdb6136e86b6528004cfab14"
+        )
+
+    def test_update_in_forked_child(self):
+        # the helper thread started here does not exist in a forked child,
+        # which must start its own instead of waiting on this one
+        agent, cfg = self._fresh()
+        buf = ReplayBuffer(1000, 3)
+        rng = substream(16, "fork-data")
+        buf.add_episode(rng.normal(0, 1, 41), rng.uniform(-10, 10, 40), np.ones(40), False)
+        rng_batch = substream(16, "fork-batch")
+        sac_update(agent, buf.sample(4, rng_batch), cfg, substream(16, "first"))
+        batch = buf.sample(4, rng_batch)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_update_and_send, args=(agent, batch, cfg, 17, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child's update did not finish"
+            got = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == serial_update(agent, batch, cfg, substream(17, "fork-noise"))
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, occball, occball.sac, occball.cli; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.split() == ["1"]
 
 
 class TestReplayBuffer:
@@ -274,6 +426,29 @@ class TestReplayBuffer:
                 assert np.allclose(batch["s"][i], [1, 1, 2])
                 assert np.allclose(batch["s2"][i], [1, 2, 3])
                 assert batch["d"][i] == 1.0
+
+    def test_shared_window_matches_two_gathers(self):
+        # s and s2 come from one window H + 1 wide; check them against
+        # separate clamped gathers at first steps, second steps and
+        # mid-episode transitions (actions are the transition indices)
+        H = 4
+        buf = ReplayBuffer(capacity=1000, history_len=H)
+        rng = substream(16, "window")
+        k0 = 0
+        for T in (1, 2, 9, 15):
+            buf.add_episode(rng.normal(0, 1, T + 1), k0 + np.arange(T), np.ones(T), False)
+            k0 += T
+        batch = buf.sample(2000, substream(16, "window-batch"))
+        f = buf._flat
+        k = batch["a"].astype(int)
+        pos, start = f["pos"][k], f["start"][k]
+        lags = np.arange(-H + 1, 1)
+        s = f["obs"][np.maximum(pos[:, None] + lags, start[:, None])]
+        s2 = f["obs"][np.maximum(pos[:, None] + 1 + lags, start[:, None])]
+        assert np.array_equal(batch["s"], s)
+        assert np.array_equal(batch["s2"], s2)
+        steps = set((pos - start).tolist())
+        assert {0, 1} <= steps and max(steps) >= H
 
     def test_sampling_uniformity(self):
         buf = ReplayBuffer(capacity=1000, history_len=2)
