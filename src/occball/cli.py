@@ -21,9 +21,9 @@ from .cartpole import (
 )
 from .controllers import LtiController, ZeroController, load_controller, save_controller
 from .harness import ExperimentSpec, evaluate, identify, max_stabilized_angle, run_sweep
-from .harness import _CURVE_COLUMNS, _write_csv
+from .harness import write_curve
 from .limits import pole_zero_bound
-from .linalg import PoleZeroSet, StateSpaceModel
+from .linalg import PoleZeroSet
 from .rngtools import substream_seed
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, load_policy, save_policy, train
 from .sysid import collect_budget, dataset_hash, save_dataset
@@ -127,15 +127,11 @@ def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, sav
             "seed": seed, "fixation": fixation, "sensor": tier, "budget": budget,
         })
     model = identify(method, data, params, order_p, order_n)
-    payload = model.to_dict()
-    payload["metadata"] = {
+    save_controller(out, model, metadata={
         "method": method, "fixation": fixation, "sensor": tier, "budget": budget,
         "seed": seed, "order_p": order_p, "order_n": order_n,
         "dataset_hash": dataset_hash(data),
-    }
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
     click.echo(f"identified {method} model with {budget} samples -> {out}")
 
 
@@ -146,10 +142,7 @@ def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, sav
 @click.option("--out", type=click.Path(), required=True)
 def synth_cmd(model_in, epsilon, out):
     """Synthesize an H-infinity controller for an identified model."""
-    with open(model_in) as f:
-        payload = json.load(f)
-    metadata = payload.pop("metadata", {})
-    model = StateSpaceModel.from_dict(payload)
+    model, metadata = load_controller(model_in)
     if epsilon is None:
         tier = metadata.get("sensor", "noise_free")
         if tier not in SENSOR_ALIASES:
@@ -198,8 +191,7 @@ def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
     result = train(params, spec, config, max_episodes=episodes, progress=progress)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [dict(zip(_CURVE_COLUMNS, c)) for c in result.curve]
-    _write_csv(out / "curve.csv", _CURVE_COLUMNS, rows)
+    write_curve(out / "curve.csv", result.curve)
     save_policy(out / "policy.json", result.agent.policy, metadata={
         "fixation": fixation, "sensor": tier, "seed": seed,
         "episodes_run": result.episodes_run, "stop_reason": result.stop_reason,

@@ -52,6 +52,7 @@ __all__ = [
     "evaluate",
     "max_stabilized_angle",
     "run_sweep",
+    "write_curve",
 ]
 
 DATA_BUDGETS = (100, 1000, 5000, 10000, 15000, 20000)
@@ -96,6 +97,11 @@ class ExperimentSpec:
                 raise ValueError("fixations must lie in (0, ell]")
         for t in self.sensor_tiers:
             make_sensor(t, PhysicalParams())
+        if any(b < 1 for b in self.budgets):
+            raise ValueError(f"budgets must be >= 1, got {self.budgets}")
+        for name in ("n_eval_episodes", "n_repeats", "rl_seeds", "rl_max_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -221,36 +227,37 @@ def _controller_hash(model: StateSpaceModel) -> str:
     return h.hexdigest()[:16]
 
 
-def _hinf_cell(method, params, tier, budget, repeat, spec):
-    """One sweep cell: data -> model -> controller -> scores."""
+_CURVE_COLUMNS = ("episode", "running_reward", "steps_cumulative")
+_CELL_COLUMNS = (
+    "method", "fixation", "tier", "budget", "repeat", "seed", "dataset_hash",
+    "controller_hash", "feasible", "gamma", "stable_true", "hinf_T", "bound",
+    "max_angle_deg", "avg_reward", "success_rate", "error",
+)
+_MEDIAN_COLUMNS = ("method", "fixation", "tier", "budget", "n", "angle_q1",
+                   "angle_median", "angle_q3", "reward_median", "success_median")
+
+
+def _blank_row(method, fix, tier, budget, repeat, seed) -> dict:
+    """A cell row with every score unset: NaN numbers, False flags, empty strings."""
+    row = dict.fromkeys(_CELL_COLUMNS, math.nan)
+    row.update(method=method, fixation=fix, tier=tier, budget=budget, repeat=repeat,
+               seed=seed, dataset_hash="", controller_hash="", feasible=False,
+               stable_true=False, error="")
+    return row
+
+
+def _hinf_cell(spec, params, tier, budget, repeat):
+    """One H-infinity cell: data -> model -> controller -> scores."""
     cell_seed = substream_seed(
-        spec.seed, f"cell-{method}-{params.ell0}-{tier}-{budget}", repeat
+        spec.seed, f"cell-{spec.method}-{params.ell0}-{tier}-{budget}", repeat
     )
     sensor = make_sensor(tier, params)
     data = collect_budget(params, sensor, budget, seed=cell_seed)
-    data_digest = dataset_hash(data)[:16]
-    row = {
-        "method": method,
-        "fixation": params.ell0,
-        "tier": tier,
-        "budget": budget,
-        "repeat": repeat,
-        "seed": cell_seed,
-        "dataset_hash": data_digest,
-        "feasible": False,
-        "controller_hash": "",
-        "gamma": math.nan,
-        "stable_true": False,
-        "hinf_T": math.nan,
-        "bound": math.nan,
-        "max_angle_deg": math.nan,
-        "avg_reward": math.nan,
-        "success_rate": math.nan,
-        "error": "",
-    }
+    row = _blank_row(spec.method, params.ell0, tier, budget, repeat, cell_seed)
+    row["dataset_hash"] = dataset_hash(data)[:16]
     row["bound"] = bound_for_model(linearize(params)).value
     try:
-        model = identify(method.removeprefix("hinf_"), data, params, spec.arx_order,
+        model = identify(spec.method.removeprefix("hinf_"), data, params, spec.arx_order,
                          spec.model_order)
         plant = build_generalized_plant(model, EPSILON_BY_TIER[tier])
         syn = hinf_synthesize(plant)
@@ -271,12 +278,29 @@ def _hinf_cell(method, params, tier, budget, repeat, spec):
     return row
 
 
-_CURVE_COLUMNS = ("episode", "running_reward", "steps_cumulative")
-_HINF_COLUMNS = (
-    "method", "fixation", "tier", "budget", "repeat", "seed", "dataset_hash",
-    "controller_hash", "feasible", "gamma", "stable_true", "hinf_T", "bound",
-    "max_angle_deg", "avg_reward", "success_rate", "error",
-)
+def _rl_cell(spec, out: Path, params, tier, run):
+    """One RL cell: train a seeded agent, write its learning curve, evaluate it."""
+    fix = params.ell0
+    run_seed = substream_seed(spec.seed, f"rl-{fix}-{tier}", run)
+    sensor = make_sensor(tier, params)
+    config = SacConfig(seed=run_seed, alpha=ALPHA_BY_TIER[tier])
+    outcome = train(params, sensor, config, max_episodes=spec.rl_max_episodes)
+    write_curve(out / f"rl_curve_{fix}_{tier}_{run}.csv", outcome.curve)
+    ev = evaluate(PolicyController(outcome.agent), params, sensor, spec.n_eval_episodes,
+                  seed=run_seed)
+    row = _blank_row("rl", fix, tier, 0, run, run_seed)
+    row["feasible"] = True
+    row["avg_reward"] = ev.avg_reward
+    row["success_rate"] = ev.success_rate
+    return row
+
+
+def _run_cell(args):
+    spec, out, (fix, tier, budget, repeat) = args
+    params = PhysicalParams(ell0=fix)
+    if spec.method == "rl":
+        return _rl_cell(spec, out, params, tier, repeat)
+    return _hinf_cell(spec, params, tier, budget, repeat)
 
 
 def _fmt(value) -> str:
@@ -295,6 +319,11 @@ def _write_csv(path, columns, rows) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def write_curve(path, curve) -> None:
+    """Write a SAC learning curve of (episode, running reward, cumulative steps) as CSV."""
+    _write_csv(path, _CURVE_COLUMNS, [dict(zip(_CURVE_COLUMNS, c)) for c in curve])
+
+
 def _quartiles(values):
     vals = sorted(values)
     if not vals:
@@ -308,87 +337,52 @@ def _quartiles(values):
 def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1):
     """Execute the full grid for a spec and write per-cell plus median CSVs.
 
-    Returns the list of per-cell row dicts.  Failures inside a cell are
-    recorded in its error column and the sweep continues.
+    H-infinity cells are (fixation, tier, budget, repeat); RL cells are
+    (fixation, tier, 0, run) for each of spec.rl_seeds runs, and each also
+    writes its learning curve.  Returns the list of per-cell row dicts.
+    Failures inside an H-infinity cell are recorded in its error column and
+    the sweep continues.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if spec.method == "rl":
-        return _run_rl_sweep(spec, out)
-
-    cells = [
-        (fix, tier, budget, repeat)
+        budgets, repeats = (0,), spec.rl_seeds
+    else:
+        budgets, repeats = spec.budgets, spec.n_repeats
+    args = [
+        (spec, out, (fix, tier, budget, repeat))
         for fix in spec.fixations
         for tier in spec.sensor_tiers
-        for budget in spec.budgets
-        for repeat in range(spec.n_repeats)
+        for budget in budgets
+        for repeat in range(repeats)
     ]
-
-    args = [(spec, c) for c in cells]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, args))
+            rows = list(pool.map(_run_cell, args))
     else:
-        rows = list(map(_sweep_worker, args))
+        rows = list(map(_run_cell, args))
 
-    _write_csv(out / f"{spec.method}_cells.csv", _HINF_COLUMNS, rows)
+    _write_csv(out / f"{spec.method}_cells.csv", _CELL_COLUMNS, rows)
 
-    # Fig. 6 style: per (fixation, tier, budget) medians and quartiles of max angle
-    agg_cols = ("method", "fixation", "tier", "budget", "n", "angle_q1",
-                "angle_median", "angle_q3", "reward_median", "success_median")
+    # Fig. 6 style: per (fixation, tier, budget) medians and quartiles of max
+    # angle, grouped in cell order
+    groups = {}
+    for r in rows:
+        groups.setdefault((r["fixation"], r["tier"], r["budget"]), []).append(r)
     agg_rows = []
-    for fix in spec.fixations:
-        for tier in spec.sensor_tiers:
-            for budget in spec.budgets:
-                group = [
-                    r for r in rows
-                    if r["fixation"] == fix and r["tier"] == tier and r["budget"] == budget
-                ]
-                angles = [r["max_angle_deg"] for r in group if not math.isnan(r["max_angle_deg"])]
-                rewards = [r["avg_reward"] for r in group if not math.isnan(r["avg_reward"])]
-                succ = [r["success_rate"] for r in group if not math.isnan(r["success_rate"])]
-                q1, med, q3 = _quartiles(angles)
-                agg_rows.append({
-                    "method": spec.method, "fixation": fix, "tier": tier,
-                    "budget": budget, "n": len(group),
-                    "angle_q1": q1, "angle_median": med, "angle_q3": q3,
-                    "reward_median": statistics.median(rewards) if rewards else math.nan,
-                    "success_median": statistics.median(succ) if succ else math.nan,
-                })
-    _write_csv(out / f"{spec.method}_medians.csv", agg_cols, agg_rows)
-    return rows
-
-
-def _sweep_worker(args):
-    spec, cell = args
-    fix, tier, budget, repeat = cell
-    return _hinf_cell(spec.method, PhysicalParams(ell0=fix), tier, budget, repeat, spec)
-
-
-def _run_rl_sweep(spec: ExperimentSpec, out: Path):
-    rows = []
-    for fix in spec.fixations:
-        for tier in spec.sensor_tiers:
-            params = PhysicalParams(ell0=fix)
-            sensor = make_sensor(tier, params)
-            for run in range(spec.rl_seeds):
-                run_seed = substream_seed(spec.seed, f"rl-{fix}-{tier}", run)
-                config = SacConfig(seed=run_seed, alpha=ALPHA_BY_TIER[tier])
-                outcome = train(params, sensor, config, max_episodes=spec.rl_max_episodes)
-                rows_curve = [dict(zip(_CURVE_COLUMNS, c)) for c in outcome.curve]
-                _write_csv(out / f"rl_curve_{fix}_{tier}_{run}.csv", _CURVE_COLUMNS, rows_curve)
-                controller = PolicyController(outcome.agent)
-                ev = evaluate(controller, params, sensor, spec.n_eval_episodes, seed=run_seed)
-                rows.append({
-                    "method": "rl", "fixation": fix, "tier": tier, "budget": 0,
-                    "repeat": run, "seed": run_seed, "dataset_hash": "",
-                    "controller_hash": "", "feasible": True, "gamma": math.nan,
-                    "stable_true": False, "hinf_T": math.nan, "bound": math.nan,
-                    "max_angle_deg": math.nan,
-                    "avg_reward": ev.avg_reward, "success_rate": ev.success_rate,
-                    "error": "",
-                })
-    _write_csv(out / "rl_cells.csv", _HINF_COLUMNS, rows)
+    for (fix, tier, budget), group in groups.items():
+        angles = [r["max_angle_deg"] for r in group if not math.isnan(r["max_angle_deg"])]
+        rewards = [r["avg_reward"] for r in group if not math.isnan(r["avg_reward"])]
+        succ = [r["success_rate"] for r in group if not math.isnan(r["success_rate"])]
+        q1, med, q3 = _quartiles(angles)
+        agg_rows.append({
+            "method": spec.method, "fixation": fix, "tier": tier,
+            "budget": budget, "n": len(group),
+            "angle_q1": q1, "angle_median": med, "angle_q3": q3,
+            "reward_median": statistics.median(rewards) if rewards else math.nan,
+            "success_median": statistics.median(succ) if succ else math.nan,
+        })
+    _write_csv(out / f"{spec.method}_medians.csv", _MEDIAN_COLUMNS, agg_rows)
     return rows

@@ -21,6 +21,7 @@ __all__ = [
     "poles",
     "transmission_zeros",
     "least_squares",
+    "doubling",
     "solve_dare",
     "spectral_radius",
     "series",
@@ -257,7 +258,7 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def _doubling(A, G, H) -> np.ndarray:
+def doubling(A, G, H) -> np.ndarray:
     """Structured doubling for X = H + A' X (I + G X)^-1 A (Chu, Fan & Lin 2005).
 
     This is the package's one Riccati iteration.  With G = B R^-1 B' it
@@ -316,7 +317,7 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
         raise ValueError("R must be positive definite")
 
     G = B @ np.linalg.solve(R, B.T)
-    P = _doubling(A, G, Q)
+    P = doubling(A, G, Q)
     gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     residual = P - (A.T @ P @ A - A.T @ P @ B @ gain + Q)
     res_norm = np.linalg.norm(residual, "fro")

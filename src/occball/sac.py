@@ -183,6 +183,26 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _squashed_gaussian(mu, raw, xi, c):
+    """Reparameterized action c * tanh(mu + std * xi) and its log density.
+
+    Returns std, tanh(a_raw), the action and log pi(action); the last term of
+    log pi subtracts log(1 - tanh(a_raw)^2), the tanh change of variables.
+    """
+    log_std = _log_std_from_raw(raw)
+    std = np.exp(log_std)
+    a_raw = mu + std * xi
+    th = np.tanh(a_raw)
+    log_p = (
+        -0.5 * xi**2
+        - log_std
+        - 0.5 * math.log(2.0 * math.pi)
+        - math.log(c)
+        - (math.log(4.0) - 2.0 * a_raw - 2.0 * _softplus(-2.0 * a_raw))
+    )
+    return std, th, c * th, log_p
+
+
 class GaussianPolicy:
     """Squashed-Gaussian policy head on an Mlp trunk.
 
@@ -214,17 +234,7 @@ class GaussianPolicy:
     def sample(self, states, xi):
         """Reparameterized actions and their log densities for noise xi."""
         mu, raw, _ = self.heads(states)
-        log_std = _log_std_from_raw(raw)
-        std = np.exp(log_std)
-        a_raw = mu + std * xi
-        action = self.action_limit * np.tanh(a_raw)
-        log_p = (
-            -0.5 * xi**2
-            - log_std
-            - 0.5 * math.log(2.0 * math.pi)
-            - math.log(self.action_limit)
-            - (math.log(4.0) - 2.0 * a_raw - 2.0 * _softplus(-2.0 * a_raw))
-        )
+        _, _, action, log_p = _squashed_gaussian(mu, raw, xi, self.action_limit)
         return action, log_p
 
     def act(self, state, rng: np.random.Generator | None = None, deterministic: bool = False):
@@ -282,18 +292,7 @@ def _policy_loss_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, s, xi, alpha):
     B = len(s)
     c = policy.action_limit
     mu, raw, cache = policy.heads(s, need_cache=True)
-    log_std = _log_std_from_raw(raw)
-    std = np.exp(log_std)
-    a_raw = mu + std * xi
-    th = np.tanh(a_raw)
-    action = c * th
-    log_p = (
-        -0.5 * xi**2
-        - log_std
-        - 0.5 * math.log(2.0 * math.pi)
-        - math.log(c)
-        - (math.log(4.0) - 2.0 * a_raw - 2.0 * _softplus(-2.0 * a_raw))
-    )
+    std, th, action, log_p = _squashed_gaussian(mu, raw, xi, c)
 
     x = np.concatenate([s, action[:, None]], axis=1)
     qv1, cache1 = q1.forward(x, need_cache=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .linalg import (
     DareInfeasibleError,
     StateSpaceModel,
-    _doubling,
+    doubling,
     solve_dare,
     spectral_radius,
 )
@@ -138,10 +138,10 @@ def _game_dare(A, B, S, Q, R, n_pos: int):
     try:
         R_inv_St = np.linalg.solve(R, S.T)
         G = B @ np.linalg.solve(R, B.T)
-        X = _doubling(A - B @ R_inv_St, G, Q - S @ R_inv_St)
+        X = doubling(A - B @ R_inv_St, G, Q - S @ R_inv_St)
         for _ in range(2):
             K, res = gain_and_residual(X)
-            X = X + _doubling(A - B @ K, np.zeros_like(G), res)
+            X = X + doubling(A - B @ K, np.zeros_like(G), res)
         K, res = gain_and_residual(X)
     except (DareInfeasibleError, np.linalg.LinAlgError) as exc:
         raise GameDareInfeasible(f"game Riccati solve failed: {exc}") from exc

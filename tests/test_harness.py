@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 
@@ -169,6 +171,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(sensor_tiers=("lidar",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("budgets", (1000, 0)),
+        ("n_eval_episodes", 0),
+        ("n_repeats", 0),
+        ("rl_seeds", 0),
+        ("rl_max_episodes", 0),
+    ])
+    def test_rejects_empty_counts(self, field, value):
+        # caught at construction, not after the earlier cells of a sweep ran
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(**{field: value})
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
@@ -182,6 +196,58 @@ class TestExperimentSpec:
         spec = ExperimentSpec.from_json(path)
         assert spec.method == "hinf_fullstate"
         assert spec.budgets == (500,)
+
+
+SWEEP_SPECS = {
+    "hinf_fullstate": ExperimentSpec(
+        method="hinf_fullstate", fixations=(1.0, 0.7), sensor_tiers=("noise_free", "rgb_like"),
+        budgets=(1000, 3000), n_repeats=2, n_eval_episodes=5, seed=5,
+    ),
+    "hinf_arxhk": ExperimentSpec(
+        method="hinf_arxhk", fixations=(1.0, 0.8), sensor_tiers=("noise_free", "depth_like"),
+        budgets=(1000,), n_repeats=2, n_eval_episodes=5, seed=5,
+    ),
+    "rl": ExperimentSpec(
+        method="rl", fixations=(1.0, 0.9), sensor_tiers=("noise_free", "rgb_like"),
+        rl_seeds=2, rl_max_episodes=2, n_eval_episodes=3, seed=9,
+    ),
+}
+
+# sha256 prefixes of the CSVs these specs wrote when the RL sweep still had
+# its own loop; rl_medians.csv is new since then
+PINNED_CSV_SHA256 = {
+    "hinf_fullstate": {
+        "hinf_fullstate_cells.csv": "1e94b26a301b32bd",
+        "hinf_fullstate_medians.csv": "9be418a6aebd89c2",
+    },
+    "hinf_arxhk": {
+        "hinf_arxhk_cells.csv": "d276920baaaaca60",
+        "hinf_arxhk_medians.csv": "4ae93a929ac76a85",
+    },
+    "rl": {
+        "rl_cells.csv": "d7853964cb977b41",
+        "rl_curve_1.0_noise_free_0.csv": "56e67ef56a720908",
+        "rl_curve_1.0_noise_free_1.csv": "6663c32096f5957b",
+        "rl_curve_1.0_rgb_like_0.csv": "2ce0a71ba6af86dc",
+        "rl_curve_1.0_rgb_like_1.csv": "3551b96eefa39d0c",
+        "rl_curve_0.9_noise_free_0.csv": "c07587b712509c9a",
+        "rl_curve_0.9_noise_free_1.csv": "d3c0ea93c1e74758",
+        "rl_curve_0.9_rgb_like_0.csv": "d8856e81c1b9feb8",
+        "rl_curve_0.9_rgb_like_1.csv": "8180dc8c905d9b61",
+    },
+}
+
+
+def _dir_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def sweep_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweeps")
+    for name, spec in SWEEP_SPECS.items():
+        run_sweep(spec, root / name)
+    return root
 
 
 @pytest.mark.slow
@@ -246,3 +312,27 @@ class TestRunSweep:
         assert rows[0]["avg_reward"] > 0
         assert (tmp_path / "rl" / "rl_cells.csv").exists()
         assert (tmp_path / "rl" / "rl_curve_1.0_noise_free_0.csv").exists()
+
+    @pytest.mark.parametrize("method", sorted(SWEEP_SPECS))
+    def test_pinned_csv_bytes(self, sweep_dirs, method):
+        for name, prefix in PINNED_CSV_SHA256[method].items():
+            digest = hashlib.sha256((sweep_dirs / method / name).read_bytes()).hexdigest()
+            assert digest[:16] == prefix, name
+        written = {f.name for f in (sweep_dirs / method).iterdir()}
+        assert written == set(PINNED_CSV_SHA256[method]) | {f"{method}_medians.csv"}
+
+    def test_rl_parallel_jobs_identical_output(self, sweep_dirs, tmp_path):
+        run_sweep(SWEEP_SPECS["rl"], tmp_path / "pool", jobs=2)
+        assert _dir_bytes(tmp_path / "pool") == _dir_bytes(sweep_dirs / "rl")
+
+    def test_rl_medians_one_row_per_fixation_and_tier(self, sweep_dirs):
+        spec = SWEEP_SPECS["rl"]
+        with open(sweep_dirs / "rl" / "rl_medians.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(float(r["fixation"]), r["tier"]) for r in rows] == [
+            (fix, tier) for fix in spec.fixations for tier in spec.sensor_tiers
+        ]
+        for r in rows:
+            assert (r["method"], r["budget"], int(r["n"])) == ("rl", "0", spec.rl_seeds)
+            assert math.isnan(float(r["angle_median"]))
+            assert float(r["reward_median"]) > 0
