@@ -49,16 +49,21 @@ class LtiController(Controller):
         if model.p != 1 or model.q != 1:
             raise ValueError("LtiController wraps SISO models only")
         self.model = model
-        # bound once: act runs at every simulator step
-        self._A, self._b, self._C, self._d = model.A, model.B[:, 0], model.C, model.D[0, 0]
+        # bound once: act runs at every simulator step; a Python float D keeps
+        # the output arithmetic off numpy scalars (same IEEE operations)
+        self._A, self._b, self._C = model.A, model.B[:, 0], model.C
+        self._d = float(model.D[0, 0])
         self._x = np.zeros(model.n)
 
     def reset(self) -> None:
         self._x = np.zeros(self.model.n)
 
     def act(self, y: float) -> float:
-        u = (self._C @ self._x).item() + self._d * y
-        self._x = self._A @ self._x + self._b * y
+        # np.dot skips matmul's ufunc dispatch; both reach the same BLAS gemv,
+        # so the bits are those of C @ x and A @ x
+        x = self._x
+        u = np.dot(self._C, x).item() + self._d * y
+        self._x = np.dot(self._A, x) + self._b * y
         return u
 
 

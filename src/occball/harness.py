@@ -99,6 +99,12 @@ class ExperimentSpec:
             make_sensor(t, PhysicalParams())
         if any(b < 1 for b in self.budgets):
             raise ValueError(f"budgets must be >= 1, got {self.budgets}")
+        # a repeated entry is the same seeded cell again, counted twice in the medians
+        for name in ("fixations", "sensor_tiers", "budgets"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{name} repeats {v!r}; grid entries must be distinct")
         for name in ("n_eval_episodes", "n_repeats", "rl_seeds", "rl_max_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -137,16 +137,19 @@ def collect_budget(
     budget: int,
     seed: int,
     config: EpisodeConfig | None = None,
-    batch: int = 64,
 ) -> list[Trajectory]:
-    """Collect trajectories until the sample budget is met, then truncate."""
-    config = config or EpisodeConfig()
+    """Simulate excitation runs one at a time until the budget is met, then truncate.
+
+    Each run index draws from its own substreams, so the runs kept do not
+    depend on how many are simulated after them.
+    """
+    config = replace(config or EpisodeConfig(), max_steps=_MAX_EXCITE_STEPS)
     data: list[Trajectory] = []
-    i = 0
-    while total_samples(data) < budget:
-        for j in range(batch):
-            data.append(_collect_one(params, sensor, seed, i + j, config))
-        i += batch
+    used = 0
+    while used < budget:
+        traj = _collect_one(params, sensor, seed, len(data), config)
+        data.append(traj)
+        used += len(traj)
     return truncate_to_budget(data, budget)
 
 
@@ -162,11 +165,14 @@ class _Excitation(Controller):
 
 
 def _collect_one(params, sensor, seed, index, config):
+    """Excitation run `index`, from its own init, excitation and (noisy only) sensor substreams."""
     state = sample_initial_state(config, substream(seed, "sysid-init", index))
     excitation = _Excitation(substream(seed, "sysid-excite", index))
-    rng_sensor = substream(seed, "sysid-" + sensor.rng_stream, index)
-    _, traj, _ = simulate(params, replace(config, max_steps=_MAX_EXCITE_STEPS), excitation,
-                          sensor, state, rng_sensor, h_origin=state.h)
+    rng_sensor = None
+    if sensor.sigma > 0.0:
+        rng_sensor = substream(seed, "sysid-" + sensor.rng_stream, index)
+    _, traj, _ = simulate(params, config, excitation, sensor, state, rng_sensor,
+                          h_origin=state.h)
     return traj
 
 

@@ -20,10 +20,12 @@ from occball.cartpole import (
     simulate,
     step,
 )
-from occball.controllers import Controller, ZeroController
+from occball.controllers import Controller, LtiController, ZeroController
+from occball.harness import AngleResult, identify, max_stabilized_angle
 from occball.linalg import poles
 from occball.rngtools import substream
-from occball.sysid import dataset_hash
+from occball.synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
+from occball.sysid import collect_budget, dataset_hash
 
 
 class TestParams:
@@ -276,6 +278,17 @@ class TestRunEpisode:
             "99280f67a996b71d08bb98e0139b375edfbdcac4385c92320e7d925e26164d7a"
         )
 
+    def test_measurement_matches_observe(self):
+        # simulate computes y inline; replaying its recorded states through
+        # observe with a fresh copy of the sensor substream gives the same bits
+        p = PhysicalParams(ell0=0.8)
+        sensor = make_sensor("rgb_like", p)
+        cfg = EpisodeConfig(seed=17)
+        _, traj = run_episode(p, cfg, ZeroController(), sensor)
+        rng = substream(cfg.seed, sensor.rng_stream)
+        replayed = [observe(p, SimState.from_array(x), sensor, rng) for x in traj.x_full]
+        assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
+
     def test_cart_limit_measured_from_origin(self):
         p = PhysicalParams()
         cfg = EpisodeConfig(max_steps=50)
@@ -295,6 +308,38 @@ class TestRunEpisode:
         for _ in range(100):
             st = sample_initial_state(cfg, rng)
             assert np.max(np.abs(st.as_array())) <= 0.05
+
+
+class TestLtiEpisodePinned:
+    """An identified H-infinity controller on the nonlinear cartpole, pinned by hash.
+
+    The controller comes from an excitation dataset through identify and
+    hinf_synthesize, so the hashes also move if collection, the full-state
+    fit or synthesis changes a bit.
+    """
+
+    PARAMS = PhysicalParams(ell0=0.9)
+
+    @pytest.fixture(scope="class")
+    def controller(self):
+        data = collect_budget(self.PARAMS, make_sensor("rgb_like", self.PARAMS), 1000, seed=5)
+        model = identify("fullstate", data, self.PARAMS, arx_order=10, model_order=4)
+        syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER["rgb_like"]))
+        assert syn.feasible
+        return LtiController(syn.controller)
+
+    def test_rgb_like_episode(self, controller):
+        result, traj = run_episode(self.PARAMS, EpisodeConfig(seed=13), controller,
+                                   make_sensor("rgb_like", self.PARAMS))
+        assert (result.steps, result.cause) == (500, "completed")
+        assert dataset_hash([traj]) == (
+            "25f6cc1e139a8749dc9ca01b264be67c9d8205b0205a8fb26bb5589e75b903fc"
+        )
+
+    def test_depth_like_angle(self, controller):
+        res = max_stabilized_angle(controller, self.PARAMS, make_sensor("depth_like", self.PARAMS))
+        assert res == AngleResult(4.21875, True, ((4.71875, False), (5.21875, False),
+                                                  (6.21875, False)))
 
 
 class TestTrajectoryIO:

@@ -183,6 +183,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value, repeated", [
+        ("fixations", (1.0, 0.8, 1.0), "1.0"),
+        ("sensor_tiers", ("noise_free", "rgb_like", "noise_free"), "'noise_free'"),
+        ("budgets", (100, 1000, 100), "100"),
+    ])
+    def test_rejects_repeated_entries(self, field, value, repeated):
+        # a repeat is the same seeded cell again, counted twice in the medians
+        with pytest.raises(ValueError, match=f"{field} repeats {repeated}"):
+            ExperimentSpec(**{field: value})
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({

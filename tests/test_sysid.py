@@ -322,6 +322,21 @@ class TestCollectionPinned:
             "5088430f1d0d71684fc958455a226c41ad7754bd6800d255d9d6576b6752bc51"
         )
 
+    @pytest.mark.parametrize("tier, budget, runs, digest", [
+        ("noise_free", 100, 4, "d8fa3ae655cede161872b74a29be0545a8e34317157e0163801d0ea6cbcb6f6c"),
+        ("noise_free", 1000, 28, "45eefc099ac2b4f3dd695832bc4417040387ed47e8b6d748ddfa127a4a1aecab"),
+        ("noise_free", 20000, 531,
+         "277391a0eaf49eb60a7563be9f5a2fbd907c64de737074f4dde319f6b23355e1"),
+        ("rgb_like", 100, 4, "d1f9f3c492be0c79f71c594cee46e27b25f07cfc4e530b46dc535c8c4d49ba47"),
+        ("rgb_like", 1000, 28, "eb8b2120db09d6908a80961003b556dbf75b80e4d95f3c602773bc78939a0632"),
+        ("rgb_like", 20000, 531,
+         "de90c701768b9ae1ad07454604fdefdfc649ff2c1227a96acc9c3b55cbb26da9"),
+    ])
+    def test_budget_ladder(self, tier, budget, runs, digest):
+        data = collect_budget(PARAMS, make_sensor(tier, PARAMS), budget, seed=31)
+        assert total_samples(data) == budget and len(data) == runs
+        assert dataset_hash(data) == digest
+
 
 def _bytes_hash(*arrays):
     h = hashlib.sha256()
