@@ -36,6 +36,7 @@ __all__ = [
     "observe",
     "linearize",
     "sample_initial_state",
+    "episode_start",
     "simulate",
     "run_episode",
     "save_trajectory",
@@ -246,6 +247,23 @@ def sample_initial_state(config: EpisodeConfig, rng: np.random.Generator) -> Sim
     return SimState.from_array(rng.uniform(-w, w, size=4))
 
 
+def episode_start(
+    config: EpisodeConfig,
+    sensor: SensorSpec,
+    init_state: SimState | None = None,
+) -> tuple[SimState, np.random.Generator | None]:
+    """Start state and sensor RNG of the episode seeded by config.seed.
+
+    The state is drawn from the "init" substream unless init_state is given,
+    and the sensor RNG is None on a noise-free tier: a substream costs about
+    10 us to seed, so only the ones drawn from are made.
+    """
+    rng_sensor = substream(config.seed, sensor.rng_stream) if sensor.sigma > 0.0 else None
+    if init_state is None:
+        init_state = sample_initial_state(config, substream(config.seed, "init"))
+    return init_state, rng_sensor
+
+
 def simulate(
     params: PhysicalParams,
     config: EpisodeConfig,
@@ -313,11 +331,7 @@ def run_episode(
     Reward equals the number of steps survived inside the box; success means
     the full horizon was survived.
     """
-    # a substream costs about 10 us to seed, so only the ones drawn from are made
-    rng_sensor = substream(config.seed, sensor.rng_stream) if sensor.sigma > 0.0 else None
-    state = init_state
-    if state is None:
-        state = sample_initial_state(config, substream(config.seed, "init"))
+    state, rng_sensor = episode_start(config, sensor, init_state)
     result, traj, _ = simulate(params, config, controller, sensor, state, rng_sensor)
     return result, traj
 

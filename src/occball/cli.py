@@ -168,7 +168,7 @@ def synth_cmd(model_in, epsilon, out):
 @click.option("--fixation", type=float, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
-@click.option("--episodes", type=int, default=2000, show_default=True)
+@click.option("--episodes", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--alpha", type=float, default=None,
               help="Entropy temperature; defaults to 0.2 (0.01 for rgb).")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -240,7 +240,7 @@ def eval_cmd(controller_path, fixation, sensor, episodes, max_angle, seed, out):
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True,
               help="Experiment spec JSON.")
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="Override the spec seed.")
 def sweep_cmd(spec_path, out_dir, jobs, seed):
     """Run a full experiment grid and write per-cell and median CSVs."""

@@ -167,6 +167,8 @@ def max_stabilized_angle(
     probes above the returned angle guard against non-monotone stabilization
     basins: if any of them survives, the monotonic flag comes back False.
     """
+    if not tol_deg > 0.0:
+        raise ValueError(f"tol_deg must be positive, got {tol_deg}")
     config = config or EpisodeConfig()
     if not _survives_from_angle(controller, params, sensor, 0.0, config, probe_seed):
         return AngleResult(0.0, True, ())
@@ -176,6 +178,8 @@ def max_stabilized_angle(
     lo, hi = 0.0, hi_limit
     while hi - lo > tol_deg:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # an interval one ulp wide cannot be halved
+            break
         if _survives_from_angle(controller, params, sensor, mid, config, probe_seed):
             lo = mid
         else:
@@ -349,6 +353,8 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1):
     Failures inside an H-infinity cell are recorded in its error column and
     the sweep continues.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if spec.method == "rl":

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     PoleZeroSet,
     StateSpaceModel,
     UNIT_CIRCLE_TOL,
+    pencil_eigvals,
     series,
     spectral_radius,
 )
@@ -103,7 +103,7 @@ def linf_norm(A, B, C, D=None) -> float:
                       [-Ds.T @ C, -Bs.T, (gamma / s) ** 2 * np.eye(m) - Ds.T @ Ds]])
         N = np.block([[np.eye(n), On, Onm], [C.T @ C, A.T, C.T @ Ds],
                       [np.zeros((m, 2 * n + m))]])
-        a, b = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
+        a, b = pencil_eigvals(M, N)
         near = np.abs(np.abs(a) - np.abs(b)) <= _CROSSING_TOL * np.abs(b)
         w = np.unique(np.abs(np.angle(a[near] * np.conj(b[near]))))
         w = np.concatenate([w, 0.5 * (w[1:] + w[:-1])])

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "StateSpaceModel",
@@ -19,6 +18,7 @@ __all__ = [
     "PoleEvaluationError",
     "tf_eval",
     "poles",
+    "pencil_eigvals",
     "transmission_zeros",
     "least_squares",
     "doubling",
@@ -207,6 +207,18 @@ def poles(model: StateSpaceModel) -> list:
     return sorted((complex(v) for v in w), key=lambda v: (v.real, v.imag))
 
 
+def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Homogeneous generalized eigenvalues (alpha, beta) of the pencil M - lambda N.
+
+    Returns a (2, k) array, rows alpha and beta, by QZ.  This is occball's only
+    use of scipy: scipy.linalg is imported on the first call, so processes that
+    never solve a pencil (simulation, identification, SAC) never load it.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
+
+
 def transmission_zeros(model: StateSpaceModel, finite_tol: float = 1e-8) -> list:
     """Finite transmission zeros of a SISO model via the system pencil.
 
@@ -222,8 +234,7 @@ def transmission_zeros(model: StateSpaceModel, finite_tol: float = 1e-8) -> list
     M = np.block([[model.A, model.B], [model.C, model.D]])
     N = np.zeros_like(M)
     N[:n, :n] = np.eye(n)
-    ab = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
-    alpha, beta = np.asarray(ab)
+    alpha, beta = pencil_eigvals(M, N)
     scale = np.max(np.abs(np.concatenate([alpha, beta]))) or 1.0
     out = []
     for a, b in zip(alpha, beta):

@@ -31,8 +31,8 @@ from .cartpole import (
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
+    episode_start,
     observe,
-    sample_initial_state,
     simulate,
 )
 from .controllers import Controller
@@ -543,6 +543,8 @@ def train(
     cold-start window, and the random-action warmup phase would otherwise
     plant an unbeatable early reference.
     """
+    if max_episodes < 1:
+        raise ValueError(f"max_episodes must be at least 1, got {max_episodes}")
     env_config = env_config or EpisodeConfig()
     actor = _TrainingActor(SacAgent(config))
 
@@ -555,8 +557,7 @@ def train(
 
     for episode in range(max_episodes):
         ep_config = replace(env_config, seed=substream_seed(config.seed, "train-episode", episode))
-        state = sample_initial_state(ep_config, substream(ep_config.seed, "init"))
-        rng_sensor = substream(ep_config.seed, sensor.rng_stream)
+        state, rng_sensor = episode_start(ep_config, sensor)
         result, traj, state = simulate(params, ep_config, actor, sensor, state, rng_sensor)
         if result.cause == "nonfinite_action":
             raise RuntimeError(

@@ -140,6 +140,13 @@ class TestTrainRl:
         ])
         assert report.exit_code == 0, report.output
 
+    def test_no_episodes_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "rl_out"
+        result = runner.invoke(main, ["train-rl", "--episodes", "0", "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "--episodes" in result.output
+        assert not out.exists()
+
 
 @pytest.mark.slow
 class TestSweep:
@@ -157,3 +164,14 @@ class TestSweep:
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert "1 cells" in result.output
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, runner, tmp_path, jobs):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "hinf_fullstate", "fixations": [1.0]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out),
+                                      "--jobs", jobs])
+        assert result.exit_code != 0
+        assert "--jobs" in result.output
+        assert not out.exists()

@@ -125,6 +125,18 @@ class TestMaxStabilizedAngle:
         assert res.angle_deg > 1.0
         assert all(angle > res.angle_deg for angle, _ in res.probes_above)
 
+    @pytest.mark.parametrize("tol", [0.0, -0.01, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        # at tol 0 the bisection never ended: its interval stalls one ulp wide
+        with pytest.raises(ValueError, match="tol_deg"):
+            max_stabilized_angle(ZeroController(), PARAMS, SENSOR, tol_deg=tol)
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        # the interval stops halving one ulp wide instead of probing forever
+        ctrl = ThresholdController(lqg_controller(), threshold_deg=2.0)
+        res = max_stabilized_angle(ctrl, PARAMS, SENSOR, tol_deg=1e-300)
+        assert res.angle_deg == pytest.approx(2.0, abs=1e-9)
+
 
 class TestScore:
     """identify, synthesize, then score against the true plant."""
@@ -281,6 +293,13 @@ class TestRunSweep:
         assert row["hinf_T"] >= row["bound"] - 1e-3
         assert (tmp_path / "out" / "hinf_fullstate_cells.csv").exists()
         assert (tmp_path / "out" / "hinf_fullstate_medians.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, tmp_path, jobs):
+        # these once ran the grid serially without a word
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(self._single_cell_spec(), tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
     def test_reproducible_bytes(self, tmp_path):
         spec = self._single_cell_spec()

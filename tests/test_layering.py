@@ -1,21 +1,33 @@
 """Package layering: occball modules import each other only at module level,
-and only through public names.
+and only through public names, and only pencil work loads scipy.
 
 An import of an occball module inside a function body hides a dependency
 from the module header and is how import cycles get papered over; this test
 keeps every such import at the top of its module.  An underscore name is
 private to its module, so no other occball module may import it: a helper
 two modules need is public, or lives where both can reach it.
+
+scipy.linalg (with what it pulls in) costs about half of a cold start, and
+only the generalized eigenproblems of zeros, norms and synthesis need it.  So
+the one scipy import sits in the body of ``linalg.pencil_eigvals``, and a
+fresh interpreter that simulates, identifies and trains never loads it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import occball
+from occball.cartpole import PhysicalParams
 
-MODULES = sorted(Path(occball.__file__).parent.glob("*.py"))
+PACKAGE = Path(occball.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+SCIPY_HOME = ("linalg.py", "pencil_eigvals")
 
 
 def _is_occball_import(node) -> bool:
@@ -42,6 +54,26 @@ def _private_imports(tree):
                     yield alias.name, node.lineno
 
 
+def _scipy_imports(tree):
+    """(enclosing function name or None, line) of every import of scipy."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                yield func, child.lineno
+            yield from visit(child, func)
+
+    return list(visit(tree, None))
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -56,3 +88,71 @@ def test_no_occball_import_inside_functions(path):
 def test_no_private_names_imported_across_modules(path):
     found = list(_private_imports(ast.parse(path.read_text())))
     assert not found, f"{path.name}: imports private occball names {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_imported_only_by_pencil_eigvals(path):
+    found = _scipy_imports(ast.parse(path.read_text()))
+    stray = [(func, line) for func, line in found if (path.name, func) != SCIPY_HOME]
+    assert not stray, f"{path.name}: scipy imported outside pencil_eigvals at {stray}"
+
+
+def test_pencil_eigvals_holds_the_scipy_import():
+    found = _scipy_imports(ast.parse((PACKAGE / SCIPY_HOME[0]).read_text()))
+    assert [func for func, _ in found] == [SCIPY_HOME[1]]
+
+
+COLD_START = """
+import json, sys
+import occball
+from occball import (PhysicalParams, ZeroController, evaluate, linearize,
+                     make_sensor, max_stabilized_angle, transmission_zeros)
+from occball.harness import identify
+from occball.sac import SacConfig, train
+from occball.sysid import collect_budget
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_loaded()
+params = PhysicalParams(ell0=0.8)
+sensor = make_sensor("depth_like", params)
+ev = evaluate(ZeroController(), params, sensor, 2, seed=1)
+angle = max_stabilized_angle(ZeroController(), params, sensor)
+data = collect_budget(params, sensor, 300, seed=2)
+models = [identify(method, data, params, 6, 4) for method in ("arxhk", "fullstate")]
+config = SacConfig(hidden_widths=(16, 16), history_len=20, batch_size=16, warmup_steps=16, seed=3)
+result = train(params, make_sensor("noise_free", params), config, max_episodes=2)
+after_work = scipy_loaded()
+zeros = transmission_zeros(linearize(PhysicalParams(ell0=0.8)))
+print(json.dumps({
+    "after_import": after_import,
+    "after_work": after_work,
+    "linalg_after_zeros": "scipy.linalg" in sys.modules,
+    "episodes": [len(ev.episodes), result.episodes_run],
+    "train_steps": result.curve[-1][2],
+    "model_orders": [m.n for m in models],
+    "angle_deg": angle.angle_deg,
+    "zeros": [[z.real, z.imag] for z in zeros],
+}))
+"""
+
+
+def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
+    # pytest's own modules import scipy, so this runs in a new interpreter
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["after_import"] == [] and out["after_work"] == []
+    assert out["episodes"] == [2, 2] and out["model_orders"] == [4, 4]
+    assert out["train_steps"] > 16  # past the warm-up, so sac_update ran
+    assert 0.0 <= out["angle_deg"] < 15.0
+    assert out["linalg_after_zeros"]
+    params = PhysicalParams(ell0=0.8)
+    rate = params.tau * (params.g / (params.ell - params.ell0)) ** 0.5
+    got = sorted(re for re, _ in out["zeros"])
+    assert got == pytest.approx([1.0 - rate, 1.0 + rate], abs=1e-6)
+    assert all(im == 0.0 for _, im in out["zeros"])

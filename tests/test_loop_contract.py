@@ -20,6 +20,7 @@ from occball import cartpole, rngtools
 from occball.cartpole import EpisodeConfig, PhysicalParams, SimState, make_sensor, run_episode
 from occball.controllers import LtiController
 from occball.harness import evaluate, max_stabilized_angle
+from occball.sac import SacConfig, train
 from occball.sysid import collect_budget
 
 from test_harness import lqg_controller
@@ -137,3 +138,14 @@ def test_excitation_run_creates_only_the_substreams_it_draws(monkeypatch, tier, 
     streams = count_calls(monkeypatch, rngtools.substream)
     data = collect_budget(PARAMS, make_sensor(tier, PARAMS), 500, seed=6)
     assert len(streams) == per_run * len(data)
+
+
+@pytest.mark.parametrize("tier, per_episode", [("noise_free", 0), ("depth_like", 1)])
+def test_training_episode_seeds_a_sensor_stream_only_when_noisy(monkeypatch, tier, per_episode):
+    sensor = make_sensor(tier, PARAMS)
+    streams = count_calls(monkeypatch, rngtools.substream)
+    config = SacConfig(history_len=4, hidden_widths=(8, 8), batch_size=8, warmup_steps=10**6)
+    result = train(PARAMS, sensor, config, max_episodes=3)
+    named = [args[1] for args, _ in streams]
+    assert named.count(sensor.rng_stream) == per_episode * result.episodes_run
+    assert named.count("init") == result.episodes_run

@@ -537,6 +537,13 @@ class TestTraining:
             train(params, make_sensor("noise_free", params), cfg, max_episodes=2,
                   env_config=EpisodeConfig(max_steps=40))
 
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_rejects_no_episodes(self, monkeypatch, episodes):
+        monkeypatch.setattr(sacmod, "SacAgent", lambda config: pytest.fail("agent built"))
+        params = PhysicalParams()
+        with pytest.raises(ValueError, match="max_episodes"):
+            train(params, make_sensor("noise_free", params), TINY, max_episodes=episodes)
+
     def test_warmup_curve_pinned(self):
         # warm-up actions only: the curve depends on the environment loop
         # alone, so the hash moves only if the episode loop's draws change
