@@ -23,11 +23,11 @@ from .controllers import Controller, LtiController, ZeroController
 from .harness import ExperimentSpec, evaluate, max_stabilized_angle, run_sweep
 from .limits import closed_loop, hinf_norm, pole_zero_bound
 from .linalg import (
-    PoleZeroSet,
     StateSpaceModel,
     least_squares,
     poles,
     solve_dare,
+    strictly_unstable,
     tf_eval,
     transmission_zeros,
 )

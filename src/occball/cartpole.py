@@ -30,6 +30,7 @@ __all__ = [
     "EpisodeResult",
     "Trajectory",
     "SENSOR_TIERS",
+    "SENSOR_STREAM",
     "make_sensor",
     "accelerations",
     "step",
@@ -41,6 +42,7 @@ __all__ = [
     "run_episode",
     "save_trajectory",
     "load_trajectory",
+    "episode_metadata",
 ]
 
 # tier -> noise std as a fraction of the observation range
@@ -49,6 +51,8 @@ SENSOR_TIERS = {
     "depth_like": 0.0003,
     "rgb_like": 0.0025,
 }
+# name of the substream sensor noise is drawn from
+SENSOR_STREAM = "sensor"
 
 
 @dataclass(frozen=True)
@@ -115,29 +119,23 @@ class SensorSpec:
     tier: str = "noise_free"
     noise_frac: float = 0.0
     z_range: float = 0.0
-    rng_stream: str = "sensor"
 
     @property
     def sigma(self) -> float:
         return self.noise_frac * self.z_range
 
 
-def make_sensor(
-    tier: str,
-    params: PhysicalParams,
-    config: EpisodeConfig | None = None,
-    rng_stream: str = "sensor",
-) -> SensorSpec:
-    """Sensor for a tier, with z_range set by the termination box.
+def make_sensor(tier: str, params: PhysicalParams) -> SensorSpec:
+    """Sensor for a tier, with z_range set by the default termination box.
 
     The observation range is 2 * (h_limit + ell0 * sin(theta_limit)), the
     extreme spread of z over states inside the termination box.
     """
     if tier not in SENSOR_TIERS:
         raise ValueError(f"unknown sensor tier {tier!r}; choose from {sorted(SENSOR_TIERS)}")
-    config = config or EpisodeConfig()
-    z_range = 2.0 * (config.h_limit + params.ell0 * math.sin(config.theta_limit))
-    return SensorSpec(tier, SENSOR_TIERS[tier], z_range, rng_stream)
+    box = EpisodeConfig()
+    z_range = 2.0 * (box.h_limit + params.ell0 * math.sin(box.theta_limit))
+    return SensorSpec(tier, SENSOR_TIERS[tier], z_range)
 
 
 @dataclass
@@ -258,7 +256,7 @@ def episode_start(
     and the sensor RNG is None on a noise-free tier: a substream costs about
     10 us to seed, so only the ones drawn from are made.
     """
-    rng_sensor = substream(config.seed, sensor.rng_stream) if sensor.sigma > 0.0 else None
+    rng_sensor = substream(config.seed, SENSOR_STREAM) if sensor.sigma > 0.0 else None
     if init_state is None:
         init_state = sample_initial_state(config, substream(config.seed, "init"))
     return init_state, rng_sensor

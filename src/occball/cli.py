@@ -23,7 +23,7 @@ from .controllers import LtiController, ZeroController, load_controller, save_co
 from .harness import ExperimentSpec, evaluate, identify, max_stabilized_angle, run_sweep
 from .harness import write_curve
 from .limits import pole_zero_bound
-from .linalg import PoleZeroSet
+from .linalg import poles, strictly_unstable, transmission_zeros
 from .rngtools import substream_seed
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, load_policy, save_policy, train
 from .sysid import collect_budget, dataset_hash, save_dataset
@@ -37,10 +37,6 @@ SENSOR_ALIASES = {
     "depth_like": "depth_like",
     "rgb_like": "rgb_like",
 }
-
-
-def _tier(name: str) -> str:
-    return SENSOR_ALIASES[name]
 
 
 def _load_any_controller(path: str):
@@ -67,9 +63,8 @@ def limits_cmd(fixations, out):
     lines = ["ell0,pole,zero,bound"]
     for ell0 in fixations:
         model = linearize(PhysicalParams(ell0=ell0))
-        pz = PoleZeroSet.from_model(model)
-        ups = pz.unstable_poles()
-        uzs = pz.unstable_zeros()
+        ups = strictly_unstable(poles(model))
+        uzs = strictly_unstable(transmission_zeros(model))
         bound = pole_zero_bound(ups, uzs)
         p = max((x.real for x in ups), default=math.nan)
         q = max((x.real for x in uzs), default=math.nan)
@@ -93,7 +88,7 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
     """Run one episode and write its trajectory CSV plus metadata."""
     params = PhysicalParams(ell0=fixation)
     config = EpisodeConfig(seed=seed)
-    spec = make_sensor(_tier(sensor), params, config)
+    spec = make_sensor(SENSOR_ALIASES[sensor], params)
     controller = _load_any_controller(controller_path) if controller_path else ZeroController()
     result, traj = run_episode(params, config, controller, spec)
     out = Path(out_dir)
@@ -107,9 +102,9 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
 @click.option("--fixation", type=float, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
-@click.option("--budget", type=int, default=20000, show_default=True)
-@click.option("--order-p", type=int, default=10, show_default=True)
-@click.option("--order-n", type=int, default=4, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=20000, show_default=True)
+@click.option("--order-p", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--order-n", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--method", type=click.Choice(["arxhk", "fullstate"]), default="arxhk",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -119,7 +114,7 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
 def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, save_data):
     """Collect excitation data and identify a model."""
     params = PhysicalParams(ell0=fixation)
-    tier = _tier(sensor)
+    tier = SENSOR_ALIASES[sensor]
     spec = make_sensor(tier, params)
     data = collect_budget(params, spec, budget, seed=seed)
     if save_data:
@@ -149,7 +144,7 @@ def synth_cmd(model_in, epsilon, out):
             raise click.ClickException(
                 f"model metadata names the unknown sensor tier {tier!r}; pass --epsilon"
             )
-        epsilon = EPSILON_BY_TIER[_tier(tier)]
+        epsilon = EPSILON_BY_TIER[SENSOR_ALIASES[tier]]
     syn = hinf_synthesize(build_generalized_plant(model, epsilon))
     if not syn.feasible:
         click.echo(f"synthesis infeasible: {syn.diagnostics.get('reason', '')}", err=True)
@@ -172,13 +167,13 @@ def synth_cmd(model_in, epsilon, out):
 @click.option("--alpha", type=float, default=None,
               help="Entropy temperature; defaults to 0.2 (0.01 for rgb).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--log-every", type=int, default=100, show_default=True,
+@click.option("--log-every", type=click.IntRange(min=0), default=100, show_default=True,
               help="Progress line every N episodes (0 disables).")
 @click.option("--out-dir", type=click.Path(), required=True)
 def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
     """Train a soft actor-critic agent and save policy plus learning curve."""
     params = PhysicalParams(ell0=fixation)
-    tier = _tier(sensor)
+    tier = SENSOR_ALIASES[sensor]
     spec = make_sensor(tier, params)
     if alpha is None:
         alpha = ALPHA_BY_TIER[tier]
@@ -207,14 +202,14 @@ def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
 @click.option("--fixation", type=float, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
-@click.option("--episodes", type=int, default=100, show_default=True)
+@click.option("--episodes", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--max-angle/--no-max-angle", default=True, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def eval_cmd(controller_path, fixation, sensor, episodes, max_angle, seed, out):
     """Evaluate a saved controller: average reward, success rate, max angle."""
     params = PhysicalParams(ell0=fixation)
-    spec = make_sensor(_tier(sensor), params)
+    spec = make_sensor(SENSOR_ALIASES[sensor], params)
     controller = _load_any_controller(controller_path)
     ev = evaluate(controller, params, spec, episodes, seed=seed)
     report = {

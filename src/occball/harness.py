@@ -157,7 +157,6 @@ def max_stabilized_angle(
     params: PhysicalParams,
     sensor: SensorSpec,
     tol_deg: float = 0.01,
-    config: EpisodeConfig | None = None,
     probe_seed: int = 2024,
 ) -> AngleResult:
     """Bisect the largest initial tilt the controller survives for 500 steps.
@@ -169,7 +168,7 @@ def max_stabilized_angle(
     """
     if not tol_deg > 0.0:
         raise ValueError(f"tol_deg must be positive, got {tol_deg}")
-    config = config or EpisodeConfig()
+    config = EpisodeConfig()
     if not _survives_from_angle(controller, params, sensor, 0.0, config, probe_seed):
         return AngleResult(0.0, True, ())
     hi_limit = config.theta_limit_deg

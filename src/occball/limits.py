@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PoleZeroSet,
     StateSpaceModel,
     UNIT_CIRCLE_TOL,
     pencil_eigvals,
+    poles,
     series,
     spectral_radius,
+    strictly_unstable,
+    transmission_zeros,
 )
 
 __all__ = [
@@ -40,6 +42,8 @@ _LINF_RTOL = 1e-9
 # ||z| - 1| under which a pencil eigenvalue is a crossing; loose, as rounding pushes
 # near-tangent ones off the circle (1e-5 misses some) and a false one only adds a sample.
 _CROSSING_TOL = 1e-3
+# an unstable pole and zero closer than this cancel: the bound is infinite
+_COINCIDENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,14 @@ def hinf_norm(model: StateSpaceModel) -> float:
     return linf_norm(model.A, model.B, model.C, model.D)
 
 
-def pole_zero_bound(unstable_poles, unstable_zeros, coincidence_tol: float = 1e-12) -> BoundResult:
+def pole_zero_bound(unstable_poles, unstable_zeros) -> BoundResult:
     """Lower bound on ||T||_inf from unstable poles p_i and zeros q_k:
 
         max_i prod_k |(1 - p_i^-1 q_k^-1) / (p_i^-1 - q_k^-1)|
 
     Inputs must already be restricted to strictly unstable values; marginal
     (unit-circle) poles and zeros contribute a factor of 1 in the limit and
-    are excluded upstream by PoleZeroSet.
+    are excluded upstream by linalg.strictly_unstable.
     """
     ps = [complex(p) for p in unstable_poles]
     qs = [complex(q) for q in unstable_zeros]
@@ -148,17 +152,17 @@ def pole_zero_bound(unstable_poles, unstable_zeros, coincidence_tol: float = 1e-
     for p in ps:
         prod = 1.0
         for q in qs:
-            if abs(p - q) < coincidence_tol:
+            if abs(p - q) < _COINCIDENCE_TOL:
                 return BoundResult(math.inf, coincident=True)
             prod *= abs((1.0 - 1.0 / (p * q)) / (1.0 / p - 1.0 / q))
         best = max(best, prod)
     return BoundResult(best)
 
 
-def bound_for_model(model: StateSpaceModel, tol: float = UNIT_CIRCLE_TOL) -> BoundResult:
+def bound_for_model(model: StateSpaceModel) -> BoundResult:
     """Lower bound on ||T||_inf computed from a model's own poles and zeros."""
-    pz = PoleZeroSet.from_model(model, tol)
-    return pole_zero_bound(pz.unstable_poles(), pz.unstable_zeros())
+    return pole_zero_bound(strictly_unstable(poles(model)),
+                           strictly_unstable(transmission_zeros(model)))
 
 
 def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLoop:

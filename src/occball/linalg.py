@@ -13,11 +13,12 @@ import numpy as np
 
 __all__ = [
     "StateSpaceModel",
-    "PoleZeroSet",
+    "UNIT_CIRCLE_TOL",
     "DareInfeasibleError",
     "PoleEvaluationError",
     "tf_eval",
     "poles",
+    "strictly_unstable",
     "pencil_eigvals",
     "transmission_zeros",
     "least_squares",
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 UNIT_CIRCLE_TOL = 1e-7
+# relative cut-offs below which a zero's pencil beta counts as 0 (the zero is at
+# infinity) and a least-squares singular value counts as 0
+_FINITE_ZERO_TOL, _LSTSQ_RCOND = 1e-8, 1e-12
 # doubling converges quadratically: a cap far above its need, a rounding-level stop
 _MAX_DOUBLINGS, _DOUBLING_TOL = 100, 1e-14
 
@@ -137,47 +141,9 @@ class StateSpaceModel:
         )
 
 
-@dataclass(frozen=True)
-class PoleZeroSet:
-    """Poles and finite transmission zeros with a unit-circle classification."""
-
-    poles: tuple = ()
-    zeros: tuple = ()
-    unit_circle_tol: float = UNIT_CIRCLE_TOL
-
-    @classmethod
-    def from_model(cls, model: StateSpaceModel, tol: float = UNIT_CIRCLE_TOL):
-        return cls(tuple(poles(model)), tuple(transmission_zeros(model)), tol)
-
-    def _split(self, values):
-        stable, marginal, unstable = [], [], []
-        for v in values:
-            r = abs(v)
-            if r < 1.0 - self.unit_circle_tol:
-                stable.append(v)
-            elif r > 1.0 + self.unit_circle_tol:
-                unstable.append(v)
-            else:
-                marginal.append(v)
-        return stable, marginal, unstable
-
-    def stable_poles(self):
-        return self._split(self.poles)[0]
-
-    def marginal_poles(self):
-        return self._split(self.poles)[1]
-
-    def unstable_poles(self):
-        return self._split(self.poles)[2]
-
-    def stable_zeros(self):
-        return self._split(self.zeros)[0]
-
-    def marginal_zeros(self):
-        return self._split(self.zeros)[1]
-
-    def unstable_zeros(self):
-        return self._split(self.zeros)[2]
+def strictly_unstable(values) -> list:
+    """The values outside the unit circle by more than UNIT_CIRCLE_TOL, in order."""
+    return [v for v in values if abs(v) > 1.0 + UNIT_CIRCLE_TOL]
 
 
 def tf_eval(model: StateSpaceModel, zeta: complex) -> np.ndarray:
@@ -219,7 +185,7 @@ def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     return scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
 
 
-def transmission_zeros(model: StateSpaceModel, finite_tol: float = 1e-8) -> list:
+def transmission_zeros(model: StateSpaceModel) -> list:
     """Finite transmission zeros of a SISO model via the system pencil.
 
     Solves the generalized eigenvalue problem on [[A - zeta I, B], [C, D]];
@@ -238,15 +204,15 @@ def transmission_zeros(model: StateSpaceModel, finite_tol: float = 1e-8) -> list
     scale = np.max(np.abs(np.concatenate([alpha, beta]))) or 1.0
     out = []
     for a, b in zip(alpha, beta):
-        if abs(b) > finite_tol * scale:
+        if abs(b) > _FINITE_ZERO_TOL * scale:
             out.append(complex(a / b))
     return sorted(out, key=lambda v: (v.real, v.imag))
 
 
-def least_squares(Phi, Y, rcond: float = 1e-12) -> np.ndarray:
+def least_squares(Phi, Y) -> np.ndarray:
     """Minimum-norm least-squares solution of Phi G = Y.
 
-    Uses an SVD with singular values below rcond * sigma_max treated as zero,
+    Uses an SVD with singular values below _LSTSQ_RCOND * sigma_max treated as zero,
     so rank-deficient regressor matrices get the minimum-norm solution.
     """
     Phi = np.asarray(Phi, dtype=float)
@@ -258,7 +224,7 @@ def least_squares(Phi, Y, rcond: float = 1e-12) -> np.ndarray:
         raise ValueError(f"Phi must be at least 1x1, got {Phi.shape}")
     if not np.all(np.isfinite(Phi)) or not np.all(np.isfinite(Y)):
         raise ValueError("least_squares inputs must be finite")
-    G, *_ = np.linalg.lstsq(Phi, Y, rcond=rcond)
+    G, *_ = np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)
     return G if not squeeze else np.asarray(G)
 
 

@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 
+__all__ = ["substream", "substream_seed"]
+
 _MASK64 = (1 << 64) - 1
 
 

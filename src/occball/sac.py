@@ -81,6 +81,16 @@ class SacConfig:
             raise ValueError("gamma_discount must lie in (0, 1)")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        for name in ("learning_rate", "action_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, low in (("batch_size", 1), ("buffer_capacity", 1),
+                          ("updates_per_step", 1), ("warmup_steps", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(w < 1 for w in self.hidden_widths):
+            raise ValueError(f"hidden_widths must all be >= 1, got {self.hidden_widths}")
 
 
 # entropy temperature per sensor tier
@@ -513,6 +523,10 @@ class ReplayBuffer:
         }
 
 
+# train's plateau rule: the running reward must gain this much, once this many episodes ran
+_PLATEAU_MIN_GAIN, _PLATEAU_FLOOR = 1.0, 1000
+
+
 @dataclass
 class TrainResult:
     curve: list  # (episode, running_reward, steps_cumulative)
@@ -528,17 +542,15 @@ def train(
     max_episodes: int = 2000,
     env_config: EpisodeConfig | None = None,
     plateau_window: int = 500,
-    plateau_min_gain: float = 1.0,
-    plateau_floor: int = 1000,
     progress=None,
 ) -> TrainResult:
     """Episodic SAC training loop with plateau-based early stopping.
 
     Stops once the 100-episode running mean reaches the per-episode reward
-    ceiling, or when it has not improved by more than plateau_min_gain over
+    ceiling, or when it has not improved by more than _PLATEAU_MIN_GAIN over
     the last plateau_window episodes, or at max_episodes.  The plateau rule
-    only arms after plateau_floor episodes, and the best-so-far reference it
-    improves against starts at plateau_floor - plateau_window: on this task
+    only arms after _PLATEAU_FLOOR episodes, and the best-so-far reference it
+    improves against starts at _PLATEAU_FLOOR - plateau_window: on this task
     useful reward signal routinely appears later than any 500-episode
     cold-start window, and the random-action warmup phase would otherwise
     plant an unbeatable early reference.
@@ -551,7 +563,7 @@ def train(
     curve = []
     recent = []
     best_mean = -math.inf
-    track_from = max(0, plateau_floor - plateau_window)
+    track_from = max(0, _PLATEAU_FLOOR - plateau_window)
     best_mean_episode = track_from
     stop_reason = "max_episodes"
 
@@ -573,13 +585,13 @@ def train(
         curve.append((episode, running, actor.total_steps))
         if progress is not None:
             progress(episode, running, actor.total_steps)
-        if episode >= track_from and running > best_mean + plateau_min_gain:
+        if episode >= track_from and running > best_mean + _PLATEAU_MIN_GAIN:
             best_mean = running
             best_mean_episode = episode
         if running >= float(env_config.max_steps) - 1e-9:
             stop_reason = "ceiling"
             break
-        if episode >= plateau_floor and episode - best_mean_episode >= plateau_window:
+        if episode >= _PLATEAU_FLOOR and episode - best_mean_episode >= plateau_window:
             stop_reason = "plateau"
             break
     return TrainResult(

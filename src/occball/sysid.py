@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cartpole import (
+    SENSOR_STREAM,
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
@@ -44,6 +45,7 @@ __all__ = [
     "fit_full_state",
     "save_dataset",
     "load_dataset",
+    "dataset_hash",
 ]
 
 EXCITATION_RANGE = 10.0  # inputs drawn iid uniform on [-10, 10] N
@@ -136,14 +138,13 @@ def collect_budget(
     sensor: SensorSpec,
     budget: int,
     seed: int,
-    config: EpisodeConfig | None = None,
 ) -> list[Trajectory]:
     """Simulate excitation runs one at a time until the budget is met, then truncate.
 
     Each run index draws from its own substreams, so the runs kept do not
     depend on how many are simulated after them.
     """
-    config = replace(config or EpisodeConfig(), max_steps=_MAX_EXCITE_STEPS)
+    config = EpisodeConfig(max_steps=_MAX_EXCITE_STEPS)
     data: list[Trajectory] = []
     used = 0
     while used < budget:
@@ -170,7 +171,7 @@ def _collect_one(params, sensor, seed, index, config):
     excitation = _Excitation(substream(seed, "sysid-excite", index))
     rng_sensor = None
     if sensor.sigma > 0.0:
-        rng_sensor = substream(seed, "sysid-" + sensor.rng_stream, index)
+        rng_sensor = substream(seed, "sysid-" + SENSOR_STREAM, index)
     _, traj, _ = simulate(params, config, excitation, sensor, state, rng_sensor,
                           h_origin=state.h)
     return traj

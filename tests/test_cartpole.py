@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from occball.cartpole import (
+    SENSOR_STREAM,
     EpisodeConfig,
     PhysicalParams,
     SimState,
@@ -285,7 +286,7 @@ class TestRunEpisode:
         sensor = make_sensor("rgb_like", p)
         cfg = EpisodeConfig(seed=17)
         _, traj = run_episode(p, cfg, ZeroController(), sensor)
-        rng = substream(cfg.seed, sensor.rng_stream)
+        rng = substream(cfg.seed, SENSOR_STREAM)
         replayed = [observe(p, SimState.from_array(x), sensor, rng) for x in traj.x_full]
         assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
 

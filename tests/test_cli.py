@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -175,3 +177,70 @@ class TestSweep:
         assert result.exit_code != 0
         assert "--jobs" in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["eval", "--controller", "{ctrl}", "--episodes", "0"], "--episodes"),
+    (["sysid", "--budget", "0", "--out", "m.json"], "--budget"),
+    (["sysid", "--order-p", "0", "--out", "m.json"], "--order-p"),
+    (["sysid", "--order-n", "0", "--out", "m.json"], "--order-n"),
+    (["train-rl", "--log-every", "-1", "--out-dir", "rl"], "--log-every"),
+])
+def test_out_of_range_count_rejected(runner, args, option):
+    with runner.isolated_filesystem():
+        Path("ctrl.json").write_text("{}")
+        result = runner.invoke(main, [a.format(ctrl="ctrl.json") for a in args])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert sorted(p.name for p in Path(".").iterdir()) == ["ctrl.json"]
+
+# One pipeline through every subcommand that writes files, with noisy tiers so
+# the sensor substreams are drawn from; PINNED_OUTPUT_SHA256 names every file it writes.
+PINNED_CHAIN = [
+    ["limits", "--out", "limits.csv"],
+    ["sysid", "--fixation", "0.9", "--sensor", "depth", "--budget", "2000",
+     "--method", "fullstate", "--seed", "5", "--out", "model.json", "--save-data", "data"],
+    ["synth", "--model-in", "model.json", "--out", "controller.json"],
+    ["simulate", "--fixation", "0.9", "--sensor", "rgb", "--controller", "controller.json",
+     "--seed", "3", "--out-dir", "sim"],
+    ["eval", "--controller", "controller.json", "--fixation", "0.9", "--sensor", "depth",
+     "--episodes", "5", "--seed", "9", "--out", "report.json"],
+    ["train-rl", "--sensor", "rgb", "--episodes", "2", "--seed", "4", "--out-dir", "rl"],
+]
+PINNED_OUTPUT_SHA256 = {
+    "controller.json": "d7066de5ba40a922",
+    "data/manifest.json": "6f828cf20cc99910",
+    "data/traj_*.csv": "59f923dc4f724030",
+    "limits.csv": "fb0d8ccf6adfc599",
+    "model.json": "67d06cab9eb3e311",
+    "report.json": "6fdf0ad309bf0418",
+    "rl/curve.csv": "b140991581b9f989",
+    "rl/policy.bin": "1461fd465102e830",
+    "rl/policy.json": "df814a4cd82ff6bc",
+    "sim/trajectory.csv": "e01b8b98060af554",
+    "sim/trajectory.csv.meta.json": "2c491e84662dfe39",
+}
+
+
+def _output_digests(root: Path) -> dict:
+    """sha256 prefix per written file; the dataset's trajectory CSVs as one digest."""
+    digests, runs = {}, hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        name = path.relative_to(root).as_posix()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if name.startswith("data/traj_"):
+            runs.update(f"{name}:{digest}\n".encode())
+        else:
+            digests[name] = digest[:16]
+    digests["data/traj_*.csv"] = runs.hexdigest()[:16]
+    return digests
+
+
+def test_pinned_output_bytes(runner):
+    with runner.isolated_filesystem():
+        for args in PINNED_CHAIN:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args[0], result.output)
+        assert _output_digests(Path(".")) == PINNED_OUTPUT_SHA256

@@ -5,7 +5,9 @@ An import of an occball module inside a function body hides a dependency
 from the module header and is how import cycles get papered over; this test
 keeps every such import at the top of its module.  An underscore name is
 private to its module, so no other occball module may import it: a helper
-two modules need is public, or lives where both can reach it.
+two modules need is public, or lives where both can reach it.  A public name
+another module imports is in its home module's ``__all__``, so that list
+states the whole of what the module offers the package.
 
 scipy.linalg (with what it pulls in) costs about half of a cold start, and
 only the generalized eigenproblems of zeros, norms and synthesis need it.  So
@@ -54,6 +56,26 @@ def _private_imports(tree):
                     yield alias.name, node.lineno
 
 
+def _exports(name: str):
+    """The literal __all__ of occball module `name`, or None without one."""
+    for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _unexported_imports(tree):
+    """(module, name, line) of each name imported from an occball module not in its __all__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_occball_import(node) and node.module:
+            module = node.module.split(".")[-1]
+            exports = _exports(module)
+            for alias in node.names:
+                if exports is None or alias.name not in exports:
+                    yield module, alias.name, node.lineno
+
+
 def _scipy_imports(tree):
     """(enclosing function name or None, line) of every import of scipy."""
     def visit(node, func):
@@ -88,6 +110,12 @@ def test_no_occball_import_inside_functions(path):
 def test_no_private_names_imported_across_modules(path):
     found = list(_private_imports(ast.parse(path.read_text())))
     assert not found, f"{path.name}: imports private occball names {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imported_names_are_exported(path):
+    found = list(_unexported_imports(ast.parse(path.read_text())))
+    assert not found, f"{path.name}: imports names missing from their module's __all__ {found}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -6,14 +6,15 @@ from occball.cartpole import PhysicalParams, linearize
 from occball.linalg import (
     DareInfeasibleError,
     PoleEvaluationError,
-    PoleZeroSet,
     StateSpaceModel,
+    UNIT_CIRCLE_TOL,
     least_squares,
     negate_output,
     poles,
     series,
     solve_dare,
     spectral_radius,
+    strictly_unstable,
     tf_eval,
     transmission_zeros,
 )
@@ -194,21 +195,18 @@ class TestSolveDare:
             solve_dare([[0.5]], [[1.0]], [[1.0]], [[-1.0]])
 
 
-class TestPoleZeroSet:
+class TestStrictlyUnstable:
     def test_partition(self):
-        pz = PoleZeroSet(poles=(0.5, 1.0, 1.5), zeros=(1.0 + 5e-8, 2.0))
-        assert pz.stable_poles() == [0.5]
-        assert pz.marginal_poles() == [1.0]
-        assert pz.unstable_poles() == [1.5]
-        assert pz.marginal_zeros() == [1.0 + 5e-8]
-        assert pz.unstable_zeros() == [2.0]
+        assert strictly_unstable([0.5, 1.0, 1.5]) == [1.5]
+        assert strictly_unstable([1.0 + 5e-8, 2.0]) == [2.0]
 
     def test_from_cartpole(self):
-        pz = PoleZeroSet.from_model(cartpole_model(0.9))
-        assert len(pz.poles) == 4
-        assert len(pz.unstable_poles()) == 1
-        assert len(pz.marginal_poles()) == 2
-        assert len(pz.unstable_zeros()) == 1
+        model = cartpole_model(0.9)
+        ps = poles(model)
+        assert len(ps) == 4
+        assert len(strictly_unstable(ps)) == 1
+        assert sum(abs(abs(p) - 1.0) <= UNIT_CIRCLE_TOL for p in ps) == 2
+        assert len(strictly_unstable(transmission_zeros(model))) == 1
 
 
 class TestCombinators:

@@ -163,6 +163,27 @@ def pushed_window(observations, H):
     return window
 
 
+class TestSacConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0),
+        ("learning_rate", -1.0),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("updates_per_step", 0),
+        ("buffer_capacity", 0),
+        ("warmup_steps", -1),
+        ("action_limit", 0.0),
+        ("action_limit", math.inf),
+        ("hidden_widths", (8, 0)),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(TINY, **{field: value})
+
+    def test_linear_network_allowed(self):
+        assert replace(TINY, hidden_widths=()).hidden_widths == ()
+
+
 class TestHistoryState:
     def test_constant_stream(self):
         assert np.allclose(pushed_window([2.5] * 5, 3), [2.5, 2.5, 2.5])
