@@ -29,6 +29,8 @@ from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, load_policy, save_p
 from .sysid import collect_budget, dataset_hash, save_dataset
 from .synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
 
+FIXATION = click.FloatRange(0.0, 1.0, min_open=True)  # 0 < ell0 <= ell = 1
+
 SENSOR_ALIASES = {
     "true_z": "noise_free",
     "depth": "depth_like",
@@ -41,12 +43,14 @@ SENSOR_ALIASES = {
 
 def _load_any_controller(path: str):
     path = Path(path)
-    with open(path) as f:
-        head = json.load(f)
-    if "blob" in head:
-        return PolicyController(load_policy(path))
-    model, _ = load_controller(path)
-    return LtiController(model)
+    try:
+        head = json.loads(path.read_text())
+        if "blob" in head:
+            return PolicyController(load_policy(path))
+        return LtiController(load_controller(path)[0])
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise click.BadParameter(f"{path} is not a saved policy or LTI controller ({exc!r})",
+                                 param_hint="--controller") from exc
 
 
 @click.group()
@@ -55,7 +59,7 @@ def main():
 
 
 @main.command("limits")
-@click.option("--fixation", "-f", "fixations", multiple=True, type=float,
+@click.option("--fixation", "-f", "fixations", multiple=True, type=FIXATION,
               default=(1.0, 0.9, 0.8, 0.7), show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="CSV output path (default: stdout).")
 def limits_cmd(fixations, out):
@@ -77,7 +81,7 @@ def limits_cmd(fixations, out):
 
 
 @main.command("simulate")
-@click.option("--fixation", type=float, default=1.0, show_default=True)
+@click.option("--fixation", type=FIXATION, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
 @click.option("--controller", "controller_path", type=click.Path(exists=True), default=None,
@@ -99,7 +103,7 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
 
 
 @main.command("sysid")
-@click.option("--fixation", type=float, default=1.0, show_default=True)
+@click.option("--fixation", type=FIXATION, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=20000, show_default=True)
@@ -160,7 +164,7 @@ def synth_cmd(model_in, epsilon, out):
 
 
 @main.command("train-rl")
-@click.option("--fixation", type=float, default=1.0, show_default=True)
+@click.option("--fixation", type=FIXATION, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
 @click.option("--episodes", type=click.IntRange(min=1), default=2000, show_default=True)
@@ -199,7 +203,7 @@ def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
 
 @main.command("eval")
 @click.option("--controller", "controller_path", type=click.Path(exists=True), required=True)
-@click.option("--fixation", type=float, default=1.0, show_default=True)
+@click.option("--fixation", type=FIXATION, default=1.0, show_default=True)
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
 @click.option("--episodes", type=click.IntRange(min=1), default=100, show_default=True)
@@ -239,7 +243,10 @@ def eval_cmd(controller_path, fixation, sensor, episodes, max_angle, seed, out):
 @click.option("--seed", type=int, default=None, help="Override the spec seed.")
 def sweep_cmd(spec_path, out_dir, jobs, seed):
     """Run a full experiment grid and write per-cell and median CSVs."""
-    spec = ExperimentSpec.from_json(spec_path)
+    try:
+        spec = ExperimentSpec.from_json(spec_path)
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(f"{spec_path}: {exc}", param_hint="--spec") from exc
     if seed is not None:
         spec = replace(spec, seed=seed)
     rows = run_sweep(spec, out_dir, jobs=jobs)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,8 @@ class ExperimentSpec:
     def from_json(cls, path) -> "ExperimentSpec":
         with open(path) as f:
             raw = json.load(f)
+        if unknown := sorted(set(raw) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown spec keys {unknown}")
         for key in ("fixations", "sensor_tiers", "budgets"):
             if key in raw:
                 raw[key] = tuple(raw[key])

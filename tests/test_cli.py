@@ -178,6 +178,15 @@ class TestSweep:
         assert "--jobs" in result.output
         assert not out.exists()
 
+    def test_unknown_spec_key_rejected(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"fixation": [1.0]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and "fixation" in result.output
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args, option", [
     (["eval", "--controller", "{ctrl}", "--episodes", "0"], "--episodes"),
@@ -185,6 +194,10 @@ class TestSweep:
     (["sysid", "--order-p", "0", "--out", "m.json"], "--order-p"),
     (["sysid", "--order-n", "0", "--out", "m.json"], "--order-n"),
     (["train-rl", "--log-every", "-1", "--out-dir", "rl"], "--log-every"),
+    (["limits", "-f", "0"], "--fixation"),
+    (["simulate", "--fixation", "1.5", "--out-dir", "sim"], "--fixation"),
+    (["eval", "--controller", "{ctrl}", "--episodes", "1"], "--controller"),
+    (["simulate", "--controller", "{ctrl}", "--out-dir", "sim"], "--controller"),
 ])
 def test_out_of_range_count_rejected(runner, args, option):
     with runner.isolated_filesystem():

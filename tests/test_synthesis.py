@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,7 +116,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("gamma", [1e3, 1e6])
     @pytest.mark.parametrize("tier", ["noise_free", "depth_like"])
     def test_game_dares_match_scipy(self, monkeypatch, tier, gamma):
-        # the X, Y and filter games of one level against scipy's QZ solver,
+        # the control and filter games of one level against scipy's QZ solver,
         # which handles the indefinite R and the cross term S directly
         model = identified_model(budget=5000, tier=tier)
         gp = build_generalized_plant(model, EPSILON_BY_TIER[tier])
@@ -128,7 +130,7 @@ class TestSynthesize:
 
         monkeypatch.setattr(synthesis, "_game_dare", recording)
         _attempt_level(gp, gamma)
-        assert len(games) == 3
+        assert len(games) == 2
         for A, B, S, Q, R, X in games:
             ref = scipy.linalg.solve_discrete_are(A, B, Q, R, s=S)
             assert np.linalg.norm(X - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -150,6 +152,33 @@ class TestSynthesize:
         n1 = effort_norm(5e-3)
         n2 = effort_norm(5e-2)
         assert n2 <= n1 * (1 + 1e-6)
+
+
+# (ell0, tier, method, budget, seed): full-state and ARXHK fits on both ends of
+# the noise range, and one ARXHK fit at budget 100 that is not stabilizable
+PINNED_SYNTHESIS_CELLS = [
+    (1.0, "noise_free", "fullstate", 5000, 1),
+    (0.7, "rgb_like", "fullstate", 5000, 1),
+    (1.0, "rgb_like", "arxhk", 1000, 1),
+    (0.7, "noise_free", "arxhk", 1000, 1),
+    (0.7, "rgb_like", "arxhk", 100, 1),
+    (1.0, "noise_free", "arxhk", 100, 3),
+]
+PINNED_SYNTHESIS_SHA256 = "d8d53edd9c0a77fc"
+
+
+def test_pinned_synthesis_bytes():
+    digest = hashlib.sha256()
+    for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
+        model = identified_model(budget, seed, ell0, method, tier)
+        syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+        fields = (syn.feasible, syn.gamma_design, syn.gamma_achieved,
+                  syn.diagnostics.get("reason"))
+        digest.update(repr(fields).encode())
+        if syn.controller is not None:
+            for M in (syn.controller.A, syn.controller.B, syn.controller.C, syn.controller.D):
+                digest.update(np.ascontiguousarray(M, dtype=float).tobytes())
+    assert digest.hexdigest()[:16] == PINNED_SYNTHESIS_SHA256
 
 
 class TestBoundConsistency:
