@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import StateSpaceModel
-from .rngtools import substream
+from .rngtools import chunked, substream
 
 __all__ = [
     "PhysicalParams",
@@ -32,7 +32,6 @@ __all__ = [
     "SENSOR_TIERS",
     "SENSOR_STREAM",
     "make_sensor",
-    "accelerations",
     "step",
     "observe",
     "linearize",
@@ -55,6 +54,15 @@ SENSOR_TIERS = {
 SENSOR_STREAM = "sensor"
 
 
+def _check_fields(obj, positive=(), nonnegative=()):
+    """Raise a ValueError naming the first field that is not finite or is out of range."""
+    for name in positive + nonnegative:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (value > 0 or (value == 0 and name in nonnegative))):
+            kind = "non-negative" if name in nonnegative else "positive"
+            raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Cartpole constants: cart/pole mass, pole length, gravity, step, fixation."""
@@ -67,8 +75,7 @@ class PhysicalParams:
     ell0: float = 1.0
 
     def __post_init__(self):
-        if not (self.M > 0 and self.m > 0 and self.ell > 0 and self.tau > 0):
-            raise ValueError("masses, length and step size must be positive")
+        _check_fields(self, positive=("M", "m", "ell", "g", "tau"))
         if not (0 < self.ell0 <= self.ell):
             raise ValueError("fixation point must satisfy 0 < ell0 <= ell")
 
@@ -104,8 +111,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.h_limit <= 0 or self.theta_limit_deg <= 0:
-            raise ValueError("termination limits must be positive")
+        _check_fields(self, positive=("h_limit", "theta_limit_deg"),
+                      nonnegative=("init_halfwidth",))
 
     @property
     def theta_limit(self) -> float:
@@ -119,6 +126,9 @@ class SensorSpec:
     tier: str = "noise_free"
     noise_frac: float = 0.0
     z_range: float = 0.0
+
+    def __post_init__(self):
+        _check_fields(self, nonnegative=("noise_frac", "z_range"))
 
     @property
     def sigma(self) -> float:
@@ -170,32 +180,26 @@ class EpisodeResult:
         return float(self.steps)
 
 
-def accelerations(params: PhysicalParams, state: SimState, u: float):
-    """Cart and pole angular accelerations for force u.
+def step(params: PhysicalParams, state: SimState, u: float) -> SimState:
+    """One explicit-Euler step; all right-hand sides use the pre-step state.
 
-    Solves the 2x2 system
+    The accelerations solve the 2x2 system
         (M+m) hdd + m*ell*tdd = u + m*ell*td^2*sin(theta)
         cos(theta) hdd + ell*tdd = g*sin(theta)
     which is nonsingular for every admissible parameter set.
     """
-    s = math.sin(state.theta)
-    c = math.cos(state.theta)
-    denom = params.M + params.m * (1.0 - c)
-    h_ddot = (u + params.m * params.ell * state.theta_dot**2 * s - params.m * params.g * s) / denom
-    theta_ddot = (params.g * s - c * h_ddot) / params.ell
-    return h_ddot, theta_ddot
-
-
-def step(params: PhysicalParams, state: SimState, u: float) -> SimState:
-    """One explicit-Euler step; all right-hand sides use the pre-step state."""
-    h_ddot, theta_ddot = accelerations(params, state, u)
+    isfinite = math.isfinite
     h, h_dot, theta, theta_dot = state
-    tau = params.tau
+    m, ell, g, tau = params.m, params.ell, params.g, params.tau
+    s = math.sin(theta)
+    c = math.cos(theta)
+    denom = params.M + m * (1.0 - c)
+    h_ddot = (u + m * ell * theta_dot**2 * s - m * g * s) / denom
+    theta_ddot = (g * s - c * h_ddot) / ell
     h, h_dot = h + tau * h_dot, h_dot + tau * h_ddot
     theta, theta_dot = theta + tau * theta_dot, theta_dot + tau * theta_ddot
     # SimState's own check, inlined: step runs once per simulated step
-    if not (math.isfinite(h) and math.isfinite(h_dot)
-            and math.isfinite(theta) and math.isfinite(theta_dot)):
+    if not (isfinite(h) and isfinite(h_dot) and isfinite(theta) and isfinite(theta_dot)):
         raise ValueError("state entries must be finite")
     return tuple.__new__(SimState, (h, h_dot, theta, theta_dot))
 
@@ -242,7 +246,7 @@ def linearize(params: PhysicalParams) -> StateSpaceModel:
 
 def sample_initial_state(config: EpisodeConfig, rng: np.random.Generator) -> SimState:
     w = config.init_halfwidth
-    return SimState.from_array(rng.uniform(-w, w, size=4))
+    return SimState(*rng.uniform(-w, w, size=4).tolist())
 
 
 def episode_start(
@@ -277,7 +281,10 @@ def simulate(
     and returns the force u.  The episode ends when the cart drifts more than
     h_limit from h_origin or the angle leaves its limit, when the controller
     emits a non-finite force, or after max_steps.  Returns the result, the
-    per-step (y, u, pre-step state) records, and the state it ended in.
+    per-step (y, u, pre-step state) records, the state it ended in, and the
+    measurement of that state, taken as the sensor stream's next draw.
+    Sensor noise is drawn from rng_sensor in chunks, so its position after
+    the call is past the last draw used.
     """
     controller.reset()
     h_limit, theta_limit = config.h_limit, config.theta_limit
@@ -286,7 +293,7 @@ def simulate(
     if sigma > 0.0:
         if rng_sensor is None:
             raise ValueError("a noisy sensor needs its RNG substream")
-        noise = rng_sensor.standard_normal
+        noise = chunked(rng_sensor.standard_normal).__next__
     # bound per call, not at import: the benchmark wraps step and act in place
     act, step_ = controller.act, step
     zs, us, xs = [], [], []
@@ -311,10 +318,14 @@ def simulate(
             cause = "theta_limit"
             break
         steps += 1
+    y_end = state.h + ell0 * sin(state.theta)
+    if sigma > 0.0:
+        y_end += sigma * noise()
     result = EpisodeResult(steps=steps, success=cause == "completed", cause=cause, seed=config.seed)
-    x_full = np.fromiter(itertools.chain.from_iterable(xs), float, 4 * len(xs)).reshape(-1, 4)
-    traj = Trajectory(z=np.array(zs), u=np.array(us), x_full=x_full)
-    return result, traj, state
+    n = len(xs)
+    x_full = np.fromiter(itertools.chain.from_iterable(xs), float, 4 * n).reshape(-1, 4)
+    traj = Trajectory(z=np.fromiter(zs, float, n), u=np.fromiter(us, float, n), x_full=x_full)
+    return result, traj, state, y_end
 
 
 def run_episode(
@@ -330,7 +341,7 @@ def run_episode(
     the full horizon was survived.
     """
     state, rng_sensor = episode_start(config, sensor, init_state)
-    result, traj, _ = simulate(params, config, controller, sensor, state, rng_sensor)
+    result, traj, _, _ = simulate(params, config, controller, sensor, state, rng_sensor)
     return result, traj
 
 

@@ -31,6 +31,21 @@ from .synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
 
 FIXATION = click.FloatRange(0.0, 1.0, min_open=True)  # 0 < ell0 <= ell = 1
 
+
+class _FinitePositive(click.ParamType):
+    """A float in (0, inf); click.FloatRange lets nan and inf through."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        value = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(value) and value > 0):
+            self.fail(f"{value} is not a finite positive number", param, ctx)
+        return value
+
+
+FINITE_POSITIVE = _FinitePositive()
+
 SENSOR_ALIASES = {
     "true_z": "noise_free",
     "depth": "depth_like",
@@ -136,7 +151,7 @@ def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, sav
 
 @main.command("synth")
 @click.option("--model-in", type=click.Path(exists=True), required=True)
-@click.option("--epsilon", type=float, default=None,
+@click.option("--epsilon", type=FINITE_POSITIVE, default=None,
               help="Control-effort weight; defaults to the tier the model was fit on.")
 @click.option("--out", type=click.Path(), required=True)
 def synth_cmd(model_in, epsilon, out):
@@ -168,7 +183,7 @@ def synth_cmd(model_in, epsilon, out):
 @click.option("--sensor", type=click.Choice(sorted(SENSOR_ALIASES)), default="true_z",
               show_default=True)
 @click.option("--episodes", type=click.IntRange(min=1), default=2000, show_default=True)
-@click.option("--alpha", type=float, default=None,
+@click.option("--alpha", type=FINITE_POSITIVE, default=None,
               help="Entropy temperature; defaults to 0.2 (0.01 for rgb).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log-every", type=click.IntRange(min=0), default=100, show_default=True,

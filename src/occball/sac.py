@@ -32,7 +32,6 @@ from .cartpole import (
     PhysicalParams,
     SensorSpec,
     episode_start,
-    observe,
     simulate,
 )
 from .controllers import Controller
@@ -79,9 +78,7 @@ class SacConfig:
             raise ValueError("tau_target must lie in (0, 1]")
         if not 0 < self.gamma_discount < 1:
             raise ValueError("gamma_discount must lie in (0, 1)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        for name in ("learning_rate", "action_limit"):
+        for name in ("alpha", "learning_rate", "action_limit"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -570,14 +567,14 @@ def train(
     for episode in range(max_episodes):
         ep_config = replace(env_config, seed=substream_seed(config.seed, "train-episode", episode))
         state, rng_sensor = episode_start(ep_config, sensor)
-        result, traj, state = simulate(params, ep_config, actor, sensor, state, rng_sensor)
+        result, traj, _, y_end = simulate(params, ep_config, actor, sensor, state, rng_sensor)
         if result.cause == "nonfinite_action":
             raise RuntimeError(
                 f"policy emitted the non-finite action {traj.u[-1]} "
                 f"at step {result.steps} of episode {episode}"
             )
         actor.settle()
-        obs = np.append(traj.z, observe(params, state, sensor, rng_sensor))
+        obs = np.append(traj.z, y_end)
         rewards = np.arange(len(traj)) < result.steps  # 1 for each step that stayed in the box
         actor.buffer.add_episode(obs, traj.u, rewards, not result.success)
         recent.append(float(result.steps))

@@ -32,7 +32,7 @@ from .cartpole import (
 )
 from .controllers import Controller
 from .linalg import StateSpaceModel, least_squares, spectral_radius
-from .rngtools import substream
+from .rngtools import chunked, substream
 
 __all__ = [
     "ArxModel",
@@ -155,14 +155,15 @@ def collect_budget(
 
 
 class _Excitation(Controller):
-    """Open-loop excitation: each act draws a force from U[-10, 10]."""
+    """Open-loop excitation: each act takes the next force from U[-10, 10]."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+        # numpy's uniform(low, high) is low + (high - low) * random(): same bits, less overhead
+        self._forces = chunked(
+            lambda k: -EXCITATION_RANGE + 2.0 * EXCITATION_RANGE * rng.random(k))
 
     def act(self, y: float) -> float:
-        # numpy's uniform(low, high) is low + (high - low) * random(): same bits, less overhead
-        return -EXCITATION_RANGE + 2.0 * EXCITATION_RANGE * self.rng.random()
+        return next(self._forces)
 
 
 def _collect_one(params, sensor, seed, index, config):
@@ -172,8 +173,8 @@ def _collect_one(params, sensor, seed, index, config):
     rng_sensor = None
     if sensor.sigma > 0.0:
         rng_sensor = substream(seed, "sysid-" + SENSOR_STREAM, index)
-    _, traj, _ = simulate(params, config, excitation, sensor, state, rng_sensor,
-                          h_origin=state.h)
+    _, traj, _, _ = simulate(params, config, excitation, sensor, state, rng_sensor,
+                             h_origin=state.h)
     return traj
 
 

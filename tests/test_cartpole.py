@@ -7,10 +7,11 @@ from occball.cartpole import (
     SENSOR_STREAM,
     EpisodeConfig,
     PhysicalParams,
+    SensorSpec,
     SimState,
     Trajectory,
-    accelerations,
     episode_metadata,
+    episode_start,
     linearize,
     load_trajectory,
     make_sensor,
@@ -24,7 +25,7 @@ from occball.cartpole import (
 from occball.controllers import Controller, LtiController, ZeroController
 from occball.harness import AngleResult, identify, max_stabilized_angle
 from occball.linalg import poles
-from occball.rngtools import substream
+from occball.rngtools import CHUNK, substream
 from occball.synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
 from occball.sysid import collect_budget, dataset_hash
 
@@ -41,6 +42,26 @@ class TestParams:
             PhysicalParams(ell0=1.5)
         with pytest.raises(ValueError):
             PhysicalParams(ell0=0.0)
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (PhysicalParams, "tau", math.inf),
+        (PhysicalParams, "g", math.nan),
+        (PhysicalParams, "m", 0.0),
+        (PhysicalParams, "ell0", math.nan),
+        (EpisodeConfig, "h_limit", math.nan),
+        (EpisodeConfig, "h_limit", math.inf),
+        (EpisodeConfig, "theta_limit_deg", 0.0),
+        (EpisodeConfig, "init_halfwidth", -0.1),
+        (EpisodeConfig, "init_halfwidth", math.nan),
+        (SensorSpec, "noise_frac", math.nan),
+        (SensorSpec, "noise_frac", -0.01),
+        (SensorSpec, "z_range", math.inf),
+    ])
+    def test_rejects_bad_field(self, cls, field, value):
+        # a nan limit would switch off its stop, and a nan or negative noise
+        # level would read as noise-free
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
 
 
 class TestSimState:
@@ -75,14 +96,19 @@ class TestSimState:
 
 
 class TestAccelerations:
+    # step applies the accelerations for tau from the pre-step state, so
+    # from rest its velocities are tau times them
+
     def test_equilibrium(self):
-        assert accelerations(PhysicalParams(), SimState(), 0.0) == (0.0, 0.0)
+        for rest in (SimState(), SimState(h=0.3)):
+            assert step(PhysicalParams(), rest, 0.0) == rest
 
     def test_small_tilt_oracle(self):
         # hand-solve the 2x2 system at theta=0.01:
         #   (M+m) hdd + m*ell*tdd = 0,  cos(t) hdd + ell tdd = g sin(t)
         p = PhysicalParams()
-        hdd, tdd = accelerations(p, SimState(theta=0.01), 0.0)
+        st = step(p, SimState(theta=0.01), 0.0)
+        hdd, tdd = st.h_dot / p.tau, st.theta_dot / p.tau
         s, c = math.sin(0.01), math.cos(0.01)
         mat = np.array([[p.M + p.m, p.m * p.ell], [c, p.ell]])
         rhs = np.array([0.0, p.g * s])
@@ -93,18 +119,19 @@ class TestAccelerations:
         assert tdd == pytest.approx(0.107908, abs=1e-6)
 
     def test_unit_force_upright(self):
-        hdd, tdd = accelerations(PhysicalParams(), SimState(), 1.0)
-        assert hdd == pytest.approx(1.0, abs=1e-12)
-        assert tdd == pytest.approx(-1.0, abs=1e-12)
+        p = PhysicalParams()
+        st = step(p, SimState(), 1.0)
+        assert (st.h, st.theta) == (0.0, 0.0)
+        assert st.h_dot / p.tau == pytest.approx(1.0, abs=1e-12)
+        assert st.theta_dot / p.tau == pytest.approx(-1.0, abs=1e-12)
 
     def test_odd_symmetry(self):
+        # sin is odd and cos even, so the mirrored state and force give the
+        # mirrored next state to the bit
         p = PhysicalParams()
         st = SimState(h=0.1, h_dot=-0.2, theta=0.05, theta_dot=0.3)
         neg = SimState(h=-0.1, h_dot=0.2, theta=-0.05, theta_dot=-0.3)
-        a1 = accelerations(p, st, 2.0)
-        a2 = accelerations(p, neg, -2.0)
-        assert a1[0] == pytest.approx(-a2[0], abs=1e-12)
-        assert a1[1] == pytest.approx(-a2[1], abs=1e-12)
+        assert step(p, st, 2.0) == tuple(-v for v in step(p, neg, -2.0))
 
 
 class TestStep:
@@ -280,25 +307,32 @@ class TestRunEpisode:
         )
 
     def test_measurement_matches_observe(self):
-        # simulate computes y inline; replaying its recorded states through
-        # observe with a fresh copy of the sensor substream gives the same bits
+        # simulate computes y inline from chunked draws; replaying its recorded
+        # states, then the state it ended in, through observe with a fresh copy
+        # of the sensor substream gives the same bits.  From rest with no force
+        # the pole stays up, so max_steps puts the end on each side of a chunk
         p = PhysicalParams(ell0=0.8)
         sensor = make_sensor("rgb_like", p)
-        cfg = EpisodeConfig(seed=17)
-        _, traj = run_episode(p, cfg, ZeroController(), sensor)
-        rng = substream(cfg.seed, SENSOR_STREAM)
-        replayed = [observe(p, SimState.from_array(x), sensor, rng) for x in traj.x_full]
-        assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
+        cases = [(500, None)] + [(n, SimState()) for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK)]
+        for max_steps, start in cases:
+            cfg = EpisodeConfig(seed=17, max_steps=max_steps)
+            state, rng_sensor = episode_start(cfg, sensor, start)
+            _, traj, final, y_end = simulate(p, cfg, ZeroController(), sensor, state, rng_sensor)
+            rng = substream(cfg.seed, SENSOR_STREAM)
+            replayed = [observe(p, SimState.from_array(x), sensor, rng) for x in traj.x_full]
+            assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
+            assert y_end == observe(p, final, sensor, rng)
 
     def test_cart_limit_measured_from_origin(self):
         p = PhysicalParams()
         cfg = EpisodeConfig(max_steps=50)
         sensor = make_sensor("noise_free", p)
         start = SimState(h=1.0)
-        result, traj, final = simulate(p, cfg, ZeroController(), sensor, start, None)
+        result, traj, final, _ = simulate(p, cfg, ZeroController(), sensor, start, None)
         assert (result.cause, result.steps, len(traj)) == ("h_limit", 0, 1)
-        result, traj, final = simulate(p, cfg, ZeroController(), sensor, start, None, h_origin=1.0)
-        assert result.success and len(traj) == 50 and final == start
+        result, traj, final, y_end = simulate(p, cfg, ZeroController(), sensor, start, None,
+                                              h_origin=1.0)
+        assert result.success and len(traj) == 50 and final == start and y_end == 1.0
 
     def test_max_reward_is_500(self):
         assert EpisodeConfig().max_steps == 500

@@ -198,6 +198,10 @@ class TestSweep:
     (["simulate", "--fixation", "1.5", "--out-dir", "sim"], "--fixation"),
     (["eval", "--controller", "{ctrl}", "--episodes", "1"], "--controller"),
     (["simulate", "--controller", "{ctrl}", "--out-dir", "sim"], "--controller"),
+    *((["synth", "--model-in", "{ctrl}", "--epsilon", bad, "--out", "c.json"], "--epsilon")
+      for bad in ("0", "-1", "nan", "inf")),
+    *((["train-rl", "--alpha", bad, "--out-dir", "rl"], "--alpha")
+      for bad in ("0", "-1", "nan", "inf")),
 ])
 def test_out_of_range_count_rejected(runner, args, option):
     with runner.isolated_filesystem():

@@ -175,6 +175,8 @@ class TestSacConfig:
         ("action_limit", 0.0),
         ("action_limit", math.inf),
         ("hidden_widths", (8, 0)),
+        ("alpha", 0.0),
+        ("alpha", math.nan),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -576,6 +578,38 @@ class TestTraining:
         assert [s for _, _, s in res.curve] == [39, 60, 79, 98, 131, 179]
         assert hashlib.sha256(repr(res.curve).encode()).hexdigest() == (
             "b9ba95cf0bccc5f1fef198106d41e7ce5dd886099211357962cd838fc20479d4"
+        )
+
+    def test_noisy_terminal_observations_pinned(self, monkeypatch):
+        # the observation after an episode's last step is the sensor stream's
+        # next draw; completed episodes (d = 0) bootstrap from it, and the
+        # updates after them sample those transitions, so the weights see it
+        terminal = []
+        add_episode = ReplayBuffer.add_episode
+
+        def recording_add(buf, obs, actions, rewards, done):
+            terminal.append((float(obs[-1]), done))
+            return add_episode(buf, obs, actions, rewards, done)
+
+        monkeypatch.setattr(ReplayBuffer, "add_episode", recording_add)
+        params = PhysicalParams(ell0=0.8)
+        cfg = SacConfig(history_len=4, hidden_widths=(8, 8), batch_size=8,
+                        warmup_steps=30, seed=2)
+        res = train(params, make_sensor("rgb_like", params), cfg, max_episodes=5,
+                    env_config=EpisodeConfig(max_steps=30))
+        assert terminal == [
+            (-0.11718376771150417, True),
+            (-0.008227317023613262, True),
+            (0.04439354823381922, False),
+            (-0.023383639226397888, False),
+            (-0.014440451421892684, False),
+        ]
+        h = hashlib.sha256()
+        for net in (res.agent.policy.net, res.agent.q1, res.agent.q2):
+            for p in net.parameters():
+                h.update(p.tobytes())
+        assert h.hexdigest() == (
+            "1e1b278ab2499bea77bbd31f88d55dc49ef53fc0a1e99cf94e254c3af26472dc"
         )
 
     def test_policy_controller_window(self):
