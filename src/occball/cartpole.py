@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, asdict
 
@@ -109,8 +110,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         _check_fields(self, positive=("h_limit", "theta_limit_deg"),
                       nonnegative=("init_halfwidth",))
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .linalg import StateSpaceModel
 
 __all__ = [
@@ -43,28 +41,59 @@ class LtiController(Controller):
     With D = 0 (every synthesized controller here) the force at step t
     depends on measurements up to t-1 only, i.e. the compensator is strictly
     causal.
+
+    The step is one straight-line function generated from the model at
+    construction.  The state is a tuple of floats, and every coefficient is
+    written into the source as a float literal, which round-trips exactly.
+    The output and each row of A x + B y is the left-to-right chain
+    c0*x0 + c1*x1 + ... + c(n-1)*x(n-1) + d*y, input term last, in plain
+    float arithmetic: the source text alone fixes every rounding, whatever
+    the Python version or linear-algebra library.
     """
 
     def __init__(self, model: StateSpaceModel):
         if model.p != 1 or model.q != 1:
             raise ValueError("LtiController wraps SISO models only")
         self.model = model
-        # bound once: act runs at every simulator step; a Python float D keeps
-        # the output arithmetic off numpy scalars (same IEEE operations)
-        self._A, self._b, self._C = model.A, model.B[:, 0], model.C
-        self._d = float(model.D[0, 0])
-        self._x = np.zeros(model.n)
+        self._step = _compile_step(model)
+        self._zero = (0.0,) * model.n
+        self._x = self._zero
 
     def reset(self) -> None:
-        self._x = np.zeros(self.model.n)
+        self._x = self._zero
 
     def act(self, y: float) -> float:
-        # np.dot skips matmul's ufunc dispatch; both reach the same BLAS gemv,
-        # so the bits are those of C @ x and A @ x
-        x = self._x
-        u = np.dot(self._C, x).item() + self._d * y
-        self._x = np.dot(self._A, x) + self._b * y
+        u, self._x = self._step(self._x, y)
         return u
+
+
+# products per statement: a longer chain nests too deep for the compiler
+_CHAIN_TERMS = 256
+
+
+def _chain(target: str, coefs, terms) -> list[str]:
+    """Statements assigning target the left-to-right sum of coef*term."""
+    products = [f"{float(c)!r}*{t}" for c, t in zip(coefs, terms)]
+    chunks = [" + ".join(products[k:k + _CHAIN_TERMS])
+              for k in range(0, len(products), _CHAIN_TERMS)]
+    return [f"{target} = {chunks[0]}"] + [f"{target} = {target} + {c}" for c in chunks[1:]]
+
+
+def _compile_step(model: StateSpaceModel):
+    """step(x, y) -> (C x + D y, A x + B y) as straight-line float arithmetic."""
+    xs = [f"x{i}" for i in range(model.n)]
+    terms = xs + ["y"]
+    body = _chain("u", [*model.C[0], model.D[0, 0]], terms)
+    for i, x in enumerate(xs):
+        body += _chain(f"{x}_", [*model.A[i], model.B[i, 0]], terms)
+    if xs:
+        body.insert(0, f"{', '.join(xs)}, = x")
+    state = "".join(f"{x}_, " for x in xs)
+    source = "def step(x, y):\n" + "".join(f"    {line}\n" for line in body)
+    source += f"    return u, ({state})\n"
+    namespace = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def save_controller(path, model: StateSpaceModel, metadata: dict | None = None) -> None:

@@ -96,8 +96,8 @@ def build_generalized_plant(model: StateSpaceModel, epsilon: float) -> Generaliz
         raise ValueError("the generalized plant is built around a SISO model")
     if model.n < 1:
         raise ValueError("the model must have at least one state")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     n = model.n
     B1 = np.hstack([np.eye(n), np.zeros((n, 1))])
     C1 = np.vstack([np.eye(n), np.zeros((1, n))])

@@ -53,6 +53,8 @@ class TestParams:
         (EpisodeConfig, "theta_limit_deg", 0.0),
         (EpisodeConfig, "init_halfwidth", -0.1),
         (EpisodeConfig, "init_halfwidth", math.nan),
+        (EpisodeConfig, "max_steps", 2.5),
+        (EpisodeConfig, "max_steps", 0),
         (SensorSpec, "noise_frac", math.nan),
         (SensorSpec, "noise_frac", -0.01),
         (SensorSpec, "z_range", math.inf),
@@ -368,7 +370,7 @@ class TestLtiEpisodePinned:
                                    make_sensor("rgb_like", self.PARAMS))
         assert (result.steps, result.cause) == (500, "completed")
         assert dataset_hash([traj]) == (
-            "25f6cc1e139a8749dc9ca01b264be67c9d8205b0205a8fb26bb5589e75b903fc"
+            "0ae7d0eb0ab0f1524683d8ca5d237f12b0fafba7dbe6faa2710839557c2a4fe7"
         )
 
     def test_depth_like_angle(self, controller):

@@ -234,7 +234,7 @@ PINNED_OUTPUT_SHA256 = {
     "rl/curve.csv": "b140991581b9f989",
     "rl/policy.bin": "1461fd465102e830",
     "rl/policy.json": "df814a4cd82ff6bc",
-    "sim/trajectory.csv": "e01b8b98060af554",
+    "sim/trajectory.csv": "4890e45679abe5fb",
     "sim/trajectory.csv.meta.json": "2c491e84662dfe39",
 }
 

@@ -100,7 +100,7 @@ class TestLtiControllerPinned:
         _, traj = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
                               lqg_controller(self.PARAMS), sensor)
         assert dataset_hash([traj]) == (
-            "704e165f41da9b46b1e6049268a4b6758d90ec9e3fa5e10b3b158e3a26567b83"
+            "f5db35cda4525185bf2b29a0754e03328f9703172667f0914372302d559f962f"
         )
 
     def test_max_stabilized_angle(self):

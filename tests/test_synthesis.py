@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -47,10 +48,9 @@ class TestGeneralizedPlant:
 
     def test_epsilon_validation(self):
         model = identified_model(budget=2000)
-        with pytest.raises(ValueError):
-            build_generalized_plant(model, 0.0)
-        with pytest.raises(ValueError):
-            build_generalized_plant(model, -1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                build_generalized_plant(model, bad)
 
 
 class TestSynthesize:
