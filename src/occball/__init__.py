@@ -15,7 +15,6 @@ from .cartpole import (
     Trajectory,
     linearize,
     make_sensor,
-    observe,
     run_episode,
     step,
 )

@@ -34,14 +34,12 @@ __all__ = [
     "SENSOR_STREAM",
     "make_sensor",
     "step",
-    "observe",
     "linearize",
     "sample_initial_state",
     "episode_start",
     "simulate",
     "run_episode",
     "save_trajectory",
-    "load_trajectory",
     "episode_metadata",
 ]
 
@@ -205,22 +203,6 @@ def step(params: PhysicalParams, state: SimState, u: float) -> SimState:
     return tuple.__new__(SimState, (h, h_dot, theta, theta_dot))
 
 
-def observe(
-    params: PhysicalParams,
-    state: SimState,
-    sensor: SensorSpec,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Measured fixation-point position y = h + ell0 sin(theta) + noise."""
-    y = state.h + params.ell0 * math.sin(state.theta)
-    sigma = sensor.sigma
-    if sigma > 0.0:
-        if rng is None:
-            raise ValueError("a noisy sensor needs its RNG substream")
-        y += sigma * rng.standard_normal()
-    return y
-
-
 def linearize(params: PhysicalParams) -> StateSpaceModel:
     """Euler-discretized linearization about the upright equilibrium.
 
@@ -289,7 +271,7 @@ def simulate(
     """
     controller.reset()
     h_limit, theta_limit = config.h_limit, config.theta_limit
-    # observe(), inlined with its lookups hoisted out of the loop
+    # the measurement y = h + ell0 sin(theta) + sigma * noise, lookups hoisted
     ell0, sigma, sin = params.ell0, sensor.sigma, math.sin
     if sigma > 0.0:
         if rng_sensor is None:
@@ -361,22 +343,6 @@ def save_trajectory(path, traj: Trajectory, meta: dict | None = None) -> None:
         with open(str(path) + ".meta.json", "w") as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != _TRAJ_COLUMNS:
-            raise ValueError(f"unexpected trajectory columns {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    if not rows:
-        raise ValueError(f"trajectory file {path} holds no samples")
-    arr = np.array(rows)
-    x_full = arr[:, 1:5]
-    if np.isnan(x_full).any():
-        x_full = None
-    return Trajectory(z=arr[:, 6], u=arr[:, 5], x_full=x_full)
 
 
 def episode_metadata(params: PhysicalParams, config: EpisodeConfig,

@@ -87,7 +87,7 @@ def limits_cmd(fixations, out):
         bound = pole_zero_bound(ups, uzs)
         p = max((x.real for x in ups), default=math.nan)
         q = max((x.real for x in uzs), default=math.nan)
-        lines.append(f"{ell0},{repr(p)},{repr(q)},{repr(bound.value)}")
+        lines.append(f"{ell0},{repr(p)},{repr(q)},{repr(bound)}")
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)

@@ -52,8 +52,6 @@ class LtiController(Controller):
     """
 
     def __init__(self, model: StateSpaceModel):
-        if model.p != 1 or model.q != 1:
-            raise ValueError("LtiController wraps SISO models only")
         self.model = model
         self._step = _compile_step(model)
         self._zero = (0.0,) * model.n

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import statistics
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -97,17 +98,21 @@ class ExperimentSpec:
                 raise ValueError("fixations must lie in (0, ell]")
         for t in self.sensor_tiers:
             make_sensor(t, PhysicalParams())
-        if any(b < 1 for b in self.budgets):
-            raise ValueError(f"budgets must be >= 1, got {self.budgets}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not all(isinstance(b, numbers.Integral) and b >= 1 for b in self.budgets):
+            raise ValueError(f"budgets must be integers >= 1, got {self.budgets}")
         # a repeated entry is the same seeded cell again, counted twice in the medians
         for name in ("fixations", "sensor_tiers", "budgets"):
             values = getattr(self, name)
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"{name} repeats {v!r}; grid entries must be distinct")
-        for name in ("n_eval_episodes", "n_repeats", "rl_seeds", "rl_max_episodes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_eval_episodes", "n_repeats", "rl_seeds", "rl_max_episodes",
+                     "arx_order", "model_order"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -266,7 +271,7 @@ def _hinf_cell(spec, params, tier, budget, repeat):
     data = collect_budget(params, sensor, budget, seed=cell_seed)
     row = _blank_row(spec.method, params.ell0, tier, budget, repeat, cell_seed)
     row["dataset_hash"] = dataset_hash(data)[:16]
-    row["bound"] = bound_for_model(linearize(params)).value
+    row["bound"] = bound_for_model(linearize(params))
     try:
         model = identify(spec.method.removeprefix("hinf_"), data, params, spec.arx_order,
                          spec.model_order)

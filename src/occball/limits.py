@@ -26,7 +26,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "BoundResult",
     "ClosedLoop",
     "hinf_norm",
     "linf_norm",
@@ -47,27 +46,9 @@ _COINCIDENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BoundResult:
-    """Lower bound on ||T||_inf with flags for degenerate cases.
-
-    vacuous: no unstable poles, so the bound carries no information.
-    coincident: an unstable pole/zero coincided, making the bound infinite.
-    """
-
-    value: float
-    vacuous: bool = False
-    coincident: bool = False
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class ClosedLoop:
-    """Negative-feedback loop of plant P and controller C with its S and T."""
+    """Sensitivity S and complementary sensitivity T of a negative-feedback loop."""
 
-    plant: StateSpaceModel
-    controller: StateSpaceModel
     S: StateSpaceModel
     T: StateSpaceModel
     internally_stable: bool
@@ -118,48 +99,46 @@ def linf_norm(A, B, C, D=None) -> float:
 
 
 def hinf_norm(model: StateSpaceModel) -> float:
-    """Peak gain of a stable SISO model, certified by linf_norm.
+    """Peak gain of a stable model, certified by linf_norm.
 
     A lower bound on the norm that, times (1 + 2e-9), has no level crossing.
     Raises for unstable models, whose norm is not defined.
     """
-    if model.p != 1 or model.q != 1:
-        raise ValueError("hinf_norm is defined here for SISO models only")
     if model.n > 0 and spectral_radius(model.A) >= 1.0:
         raise ValueError("model is not stable; the H-infinity norm is unbounded")
     return linf_norm(model.A, model.B, model.C, model.D)
 
 
-def pole_zero_bound(unstable_poles, unstable_zeros) -> BoundResult:
+def pole_zero_bound(unstable_poles, unstable_zeros) -> float:
     """Lower bound on ||T||_inf from unstable poles p_i and zeros q_k:
 
         max_i prod_k |(1 - p_i^-1 q_k^-1) / (p_i^-1 - q_k^-1)|
 
     Inputs must already be restricted to strictly unstable values; marginal
     (unit-circle) poles and zeros contribute a factor of 1 in the limit and
-    are excluded upstream by linalg.strictly_unstable.
+    are excluded upstream by linalg.strictly_unstable.  The bound is 1.0
+    with no unstable pole or no unstable zero, and inf when a pole and a
+    zero coincide.
     """
     ps = [complex(p) for p in unstable_poles]
     qs = [complex(q) for q in unstable_zeros]
     for v in ps + qs:
         if abs(v) <= 1.0 + UNIT_CIRCLE_TOL:
             raise ValueError(f"{v} is not strictly unstable; filter marginal values upstream")
-    if not ps:
-        return BoundResult(1.0, vacuous=True)
-    if not qs:
-        return BoundResult(1.0)
+    if not ps or not qs:
+        return 1.0
     best = 0.0
     for p in ps:
         prod = 1.0
         for q in qs:
             if abs(p - q) < _COINCIDENCE_TOL:
-                return BoundResult(math.inf, coincident=True)
+                return math.inf
             prod *= abs((1.0 - 1.0 / (p * q)) / (1.0 / p - 1.0 / q))
         best = max(best, prod)
-    return BoundResult(best)
+    return best
 
 
-def bound_for_model(model: StateSpaceModel) -> BoundResult:
+def bound_for_model(model: StateSpaceModel) -> float:
     """Lower bound on ||T||_inf computed from a model's own poles and zeros."""
     return pole_zero_bound(strictly_unstable(poles(model)),
                            strictly_unstable(transmission_zeros(model)))
@@ -172,8 +151,6 @@ def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLo
     sensitivity T = PC/(1+PC) sharing the full interconnection state, so the
     internal-stability flag reflects every plant and controller mode.
     """
-    if plant.p != 1 or plant.q != 1 or controller.p != 1 or controller.q != 1:
-        raise ValueError("closed_loop expects SISO plant and controller")
     L = series(controller, plant)
     den = 1.0 + float(L.D[0, 0])
     if abs(den) < 1e-12:
@@ -183,4 +160,4 @@ def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLo
     S = StateSpaceModel(A_s, B_s, -L.C / den, np.array([[1.0 / den]]), plant.dt)
     T = StateSpaceModel(A_s, B_s, L.C / den, np.array([[L.D[0, 0] / den]]), plant.dt)
     stable = spectral_radius(A_s) < 1.0 - INTERNAL_STABILITY_MARGIN
-    return ClosedLoop(plant=plant, controller=controller, S=S, T=T, internally_stable=stable)
+    return ClosedLoop(S=S, T=T, internally_stable=stable)

@@ -45,8 +45,8 @@ class DareInfeasibleError(RuntimeError):
     """No stabilizing Riccati solution was found within the iteration cap."""
 
 
-def _matrix(x, dtype=float) -> np.ndarray:
-    a = np.asarray(x, dtype=dtype)
+def _matrix(x) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -58,7 +58,10 @@ def _matrix(x, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Discrete LTI model x+ = A x + B u, y = C x + D u with step size dt."""
+    """SISO discrete LTI model x+ = A x + B u, y = C x + D u with step size dt.
+
+    A is n x n, B n x 1, C 1 x n and D 1 x 1; n = 0 is a static gain.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -67,54 +70,29 @@ class StateSpaceModel:
     dt: float = 1.0
 
     def __post_init__(self):
-        A = _matrix(self.A)
-        B = _matrix(self.B)
-        C = _matrix(self.C)
-        D = _matrix(self.D)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
-        if C.shape[1] != n:
-            # allow a row vector C for the common SISO case
-            if n == 0 and C.size == 0:
-                C = C.reshape(C.shape[0] if C.ndim == 2 else 1, 0)
-            else:
-                raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
-        if D.shape != (C.shape[0], B.shape[1]):
+        A, B, C, D = (np.array(m, dtype=float) for m in (self.A, self.B, self.C, self.D))
+        n = A.shape[0] if A.ndim else 0
+        if (A.shape, B.shape, C.shape, D.shape) != ((n, n), (n, 1), (1, n), (1, 1)):
             raise ValueError(
-                f"D shape {D.shape} inconsistent with C rows {C.shape[0]} "
-                f"and B columns {B.shape[1]}"
+                "a SISO model needs A n x n, B n x 1, C 1 x n and D 1 x 1, got "
+                f"A {A.shape}, B {B.shape}, C {C.shape} and D {D.shape}"
             )
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if mat.size and not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
-            mat = mat.copy()
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
+        if not (self.dt > 0):
+            raise ValueError("dt must be positive")
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.C.shape[0]
-
     @classmethod
-    def static_gain(cls, d, dt: float = 1.0) -> "StateSpaceModel":
+    def static_gain(cls, d: float, dt: float = 1.0) -> "StateSpaceModel":
         """A memoryless model y = d * u (no states)."""
-        D = _matrix(d)
-        q, p = D.shape
-        return cls(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((q, 0)), D, dt)
+        return cls(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[d]], dt)
 
     def to_dict(self) -> dict:
         return {
@@ -127,18 +105,10 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpaceModel":
-        D = np.array(d["D"], dtype=float)
-        if D.ndim != 2:
-            D = D.reshape(1, -1)
-        q, p = D.shape
+        # with no states, A and B are written as [], which loses their shape
         n = len(d["A"])
-        return cls(
-            np.array(d["A"], dtype=float).reshape(n, n),
-            np.array(d["B"], dtype=float).reshape(n, p),
-            np.array(d["C"], dtype=float).reshape(q, n),
-            D,
-            float(d["dt"]),
-        )
+        return cls(np.reshape(d["A"], (n, n)), np.reshape(d["B"], (n, 1)), d["C"], d["D"],
+                   float(d["dt"]))
 
 
 def strictly_unstable(values) -> list:
@@ -186,14 +156,12 @@ def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 
 def transmission_zeros(model: StateSpaceModel) -> list:
-    """Finite transmission zeros of a SISO model via the system pencil.
+    """Finite transmission zeros of a model via the system pencil.
 
     Solves the generalized eigenvalue problem on [[A - zeta I, B], [C, D]];
     generalized eigenvalues with a vanishing denominator (beta ~ 0) are the
     zeros at infinity and are dropped.
     """
-    if model.p != 1 or model.q != 1:
-        raise ValueError("transmission zeros are supported for SISO models only")
     n = model.n
     if n == 0:
         return []
@@ -305,8 +273,6 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
 
 def series(first: StateSpaceModel, second: StateSpaceModel) -> StateSpaceModel:
     """Cascade: input -> first -> second -> output."""
-    if first.q != second.p:
-        raise ValueError("output/input dimensions do not chain")
     n1, n2 = first.n, second.n
     A = np.zeros((n1 + n2, n1 + n2))
     A[:n1, :n1] = first.A

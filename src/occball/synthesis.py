@@ -92,8 +92,6 @@ class SynthesizedController:
 
 def build_generalized_plant(model: StateSpaceModel, epsilon: float) -> GeneralizedPlant:
     """Augment an identified SISO model with disturbance and cost channels."""
-    if model.p != 1 or model.q != 1:
-        raise ValueError("the generalized plant is built around a SISO model")
     if model.n < 1:
         raise ValueError("the model must have at least one state")
     if not (math.isfinite(epsilon) and epsilon > 0):

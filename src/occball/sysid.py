@@ -25,7 +25,6 @@ from .cartpole import (
     PhysicalParams,
     SensorSpec,
     Trajectory,
-    load_trajectory,
     sample_initial_state,
     save_trajectory,
     simulate,
@@ -44,7 +43,6 @@ __all__ = [
     "ho_kalman",
     "fit_full_state",
     "save_dataset",
-    "load_dataset",
     "dataset_hash",
 ]
 
@@ -313,17 +311,3 @@ def save_dataset(out_dir, data: list[Trajectory], manifest: dict) -> str:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return digest
-
-
-def load_dataset(in_dir) -> tuple[list[Trajectory], dict]:
-    """Read a saved dataset; raises ValueError if it no longer hashes to its manifest."""
-    out = Path(in_dir)
-    with open(out / "manifest.json") as f:
-        manifest = json.load(f)
-    data = [load_trajectory(out / f"traj_{i:04d}.csv") for i in range(manifest["n_trajectories"])]
-    digest = dataset_hash(data)
-    if digest != manifest["dataset_hash"]:
-        raise ValueError(
-            f"dataset in {out} hashes to {digest}, not the manifest's {manifest['dataset_hash']}"
-        )
-    return data, manifest

@@ -84,7 +84,7 @@ def test_criterion_2_pole_zero_bound_values():
     t0 = time.perf_counter()
     values = {}
     for ell0 in FIXATIONS:
-        values[ell0] = bound_for_model(linearize(PhysicalParams(ell0=ell0))).value
+        values[ell0] = bound_for_model(linearize(PhysicalParams(ell0=ell0)))
     assert values[1.0] == pytest.approx(1.000, abs=1e-9)
     assert values[0.9] == pytest.approx(2.091, abs=2e-3)
     assert values[0.7] == pytest.approx(3.854, abs=5e-3)
@@ -115,7 +115,7 @@ def test_criterion_3_bound_consistency_spot():
         loop = closed_loop(truth, negate_output(syn.controller))
         if not loop.internally_stable:
             continue
-        bound = bound_for_model(truth).value
+        bound = bound_for_model(truth)
         measured = hinf_norm(loop.T)
         assert measured >= bound - 1e-3
         checked += 1
@@ -193,7 +193,7 @@ def table2_sweep():
             row = {"fixation": ell0, "repeat": repeat, "seed": seed, "syn": syn,
                    "params": params}
             if syn.feasible:
-                row["bound"] = bound_for_model(linearize(params)).value
+                row["bound"] = bound_for_model(linearize(params))
                 for tier in ("noise_free", "depth_like", "rgb_like"):
                     scored = score(syn.controller, params, make_sensor(tier, params), seed)
                     row["stable_true"] = scored["stable_true"]

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,9 +14,7 @@ from occball.cartpole import (
     episode_metadata,
     episode_start,
     linearize,
-    load_trajectory,
     make_sensor,
-    observe,
     run_episode,
     sample_initial_state,
     save_trajectory,
@@ -167,16 +166,24 @@ class TestStep:
         assert fwd.theta_dot == pytest.approx(-bwd.theta_dot, abs=1e-15)
 
 
+def first_reading(p, sensor, state):
+    """The measurement simulate takes of state, before any force acts."""
+    _, traj, _, _ = simulate(p, EpisodeConfig(max_steps=1), ZeroController(), sensor, state, None)
+    return traj.z[0]
+
+
 class TestObserve:
+    """The fixation-point measurement y = h + ell0 sin(theta) + noise that simulate takes."""
+
     def test_noise_free_reads_fixation_point(self):
         p = PhysicalParams()
         sensor = make_sensor("noise_free", p)
-        assert observe(p, SimState(h=0.1), sensor) == pytest.approx(0.1, abs=1e-15)
+        assert first_reading(p, sensor, SimState(h=0.1)) == pytest.approx(0.1, abs=1e-15)
 
     def test_fixation_geometry(self):
         p = PhysicalParams(ell0=0.9)
         sensor = make_sensor("noise_free", p)
-        y = observe(p, SimState(theta=math.radians(15.0)), sensor)
+        y = first_reading(p, sensor, SimState(theta=math.radians(15.0)))
         assert y == pytest.approx(0.9 * math.sin(math.radians(15.0)), abs=1e-6)
         assert y == pytest.approx(0.232937, abs=1e-6)
 
@@ -189,15 +196,19 @@ class TestObserve:
     def test_noise_statistics(self):
         p = PhysicalParams()
         sensor = make_sensor("rgb_like", p)
-        rng = substream(0, "sensor")
-        draws = np.array([observe(p, SimState(), sensor, rng) for _ in range(4000)])
+        _, traj, _, _ = simulate(p, EpisodeConfig(max_steps=4000), ZeroController(), sensor,
+                                 SimState(), substream(0, SENSOR_STREAM))
+        x = traj.x_full
+        draws = traj.z - (x[:, 0] + p.ell0 * np.sin(x[:, 2]))
+        assert len(draws) == 4000
         assert abs(draws.mean()) < 4 * sensor.sigma / np.sqrt(len(draws)) * 2
         assert draws.std() == pytest.approx(sensor.sigma, rel=0.1)
 
     def test_noisy_sensor_requires_rng(self):
         p = PhysicalParams()
-        with pytest.raises(ValueError):
-            observe(p, SimState(), make_sensor("depth_like", p))
+        with pytest.raises(ValueError, match="RNG"):
+            simulate(p, EpisodeConfig(), ZeroController(), make_sensor("depth_like", p),
+                     SimState(), rng_sensor=None)
 
 
 class TestLinearize:
@@ -242,9 +253,8 @@ class TestLinearize:
     def test_observation_matches_linear_readout(self):
         p = PhysicalParams(ell0=0.9)
         m = linearize(p)
-        sensor = make_sensor("noise_free", p)
         st = SimState(h=0.01, theta=0.005)
-        y = observe(p, st, sensor)
+        y = st.h + p.ell0 * math.sin(st.theta)
         y_lin = (m.C @ st.as_array()).item()
         assert abs(y - y_lin) < abs(st.theta) ** 3
 
@@ -310,8 +320,9 @@ class TestRunEpisode:
 
     def test_measurement_matches_observe(self):
         # simulate computes y inline from chunked draws; replaying its recorded
-        # states, then the state it ended in, through observe with a fresh copy
-        # of the sensor substream gives the same bits.  From rest with no force
+        # states, then the state it ended in, through y = h + ell0 sin(theta) +
+        # sigma * noise with scalar draws from a fresh copy of the sensor
+        # substream gives the same bits.  From rest with no force
         # the pole stays up, so max_steps puts the end on each side of a chunk
         p = PhysicalParams(ell0=0.8)
         sensor = make_sensor("rgb_like", p)
@@ -321,9 +332,13 @@ class TestRunEpisode:
             state, rng_sensor = episode_start(cfg, sensor, start)
             _, traj, final, y_end = simulate(p, cfg, ZeroController(), sensor, state, rng_sensor)
             rng = substream(cfg.seed, SENSOR_STREAM)
-            replayed = [observe(p, SimState.from_array(x), sensor, rng) for x in traj.x_full]
+
+            def reading(st):
+                return st.h + p.ell0 * math.sin(st.theta) + sensor.sigma * rng.standard_normal()
+
+            replayed = [reading(SimState.from_array(x)) for x in traj.x_full]
             assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
-            assert y_end == observe(p, final, sensor, rng)
+            assert y_end == reading(final)
 
     def test_cart_limit_measured_from_origin(self):
         p = PhysicalParams()
@@ -387,17 +402,15 @@ class TestTrajectoryIO:
         result, traj = run_episode(p, cfg, ZeroController(), sensor)
         path = tmp_path / "traj.csv"
         save_trajectory(path, traj, meta=episode_metadata(p, cfg, sensor, result))
-        loaded = load_trajectory(path)
-        assert np.array_equal(loaded.z, traj.z)
-        assert np.array_equal(loaded.u, traj.u)
-        assert np.array_equal(loaded.x_full, traj.x_full)
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["t", "h", "h_dot", "theta", "theta_dot", "u", "y"]
+        arr = np.array(rows, dtype=float)
+        assert np.array_equal(arr[:, 0], np.arange(len(traj)))
+        assert np.array_equal(arr[:, 1:5], traj.x_full)
+        assert np.array_equal(arr[:, 5], traj.u)
+        assert np.array_equal(arr[:, 6], traj.z)
         assert (tmp_path / "traj.csv.meta.json").exists()
-
-    def test_header_only_file_rejected(self, tmp_path):
-        path = tmp_path / "traj_0000.csv"
-        path.write_text("t,h,h_dot,theta,theta_dot,u,y\n")
-        with pytest.raises(ValueError, match="traj_0000.csv holds no samples"):
-            load_trajectory(path)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

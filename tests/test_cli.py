@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,17 @@ class TestSweep:
         assert "--spec" in result.output and "fixation" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("budgets", [math.nan]), ("n_repeats", 1.5)])
+    def test_non_integer_spec_count_rejected(self, runner, tmp_path, field, value):
+        # Python's json reads NaN and 1.5 alike; neither is a count
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "hinf_fullstate", field: value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and field in result.output
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args, option", [
     (["eval", "--controller", "{ctrl}", "--episodes", "0"], "--episodes"),
@@ -202,14 +214,19 @@ class TestSweep:
       for bad in ("0", "-1", "nan", "inf")),
     *((["train-rl", "--alpha", bad, "--out-dir", "rl"], "--alpha")
       for bad in ("0", "-1", "nan", "inf")),
+    # a controller must be SISO: this one has a 2 x 2 feedthrough
+    (["eval", "--controller", "{mimo}", "--episodes", "1"], "--controller"),
+    (["simulate", "--controller", "{mimo}", "--out-dir", "sim"], "--controller"),
 ])
 def test_out_of_range_count_rejected(runner, args, option):
     with runner.isolated_filesystem():
         Path("ctrl.json").write_text("{}")
-        result = runner.invoke(main, [a.format(ctrl="ctrl.json") for a in args])
+        Path("mimo.json").write_text(json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0]],
+                                                 "D": [[0.0, 0.0], [0.0, 0.0]], "dt": 0.02}))
+        result = runner.invoke(main, [a.format(ctrl="ctrl.json", mimo="mimo.json") for a in args])
         assert result.exit_code == 2, result.output
         assert option in result.output
-        assert sorted(p.name for p in Path(".").iterdir()) == ["ctrl.json"]
+        assert sorted(p.name for p in Path(".").iterdir()) == ["ctrl.json", "mimo.json"]
 
 # One pipeline through every subcommand that writes files, with noisy tiers so
 # the sensor substreams are drawn from; PINNED_OUTPUT_SHA256 names every file it writes.

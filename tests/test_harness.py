@@ -150,7 +150,7 @@ class TestScore:
     def test_report_fields(self):
         syn = self.synthesized("fullstate", PARAMS, 5000, seed=3)
         scored = score(syn.controller, PARAMS, SENSOR, probe_seed=2024)
-        bound = bound_for_model(linearize(PARAMS)).value
+        bound = bound_for_model(linearize(PARAMS))
         assert scored["stable_true"]
         assert bound == pytest.approx(1.0)
         assert scored["hinf_T"] >= bound - 1e-3
@@ -189,6 +189,18 @@ class TestExperimentSpec:
         ("n_repeats", 0),
         ("rl_seeds", 0),
         ("rl_max_episodes", 0),
+        # a spec file's JSON can hold floats, and NaN, where counts belong
+        ("budgets", (math.nan,)),
+        ("budgets", (100.5,)),
+        ("n_repeats", 1.5),
+        ("n_eval_episodes", 2.0),
+        ("rl_seeds", 1.5),
+        ("rl_max_episodes", 10.5),
+        ("seed", 1.5),
+        ("arx_order", 0),
+        ("arx_order", 10.5),
+        ("model_order", 0),
+        ("model_order", 4.0),
     ])
     def test_rejects_empty_counts(self, field, value):
         # caught at construction, not after the earlier cells of a sweep ran

@@ -36,7 +36,7 @@ class TestStateSpaceModel:
 
     def test_static_gain_roundtrip(self):
         m = StateSpaceModel.static_gain(5.0)
-        assert m.n == 0 and m.p == 1 and m.q == 1
+        assert m.n == 0 and (m.B.shape, m.C.shape, m.D.shape) == ((0, 1), (1, 0), (1, 1))
         m2 = StateSpaceModel.from_dict(m.to_dict())
         assert float(m2.D[0, 0]) == 5.0
 
@@ -123,9 +123,8 @@ class TestTransmissionZeros:
         assert np.allclose(got, [1.0 - rate, 1.0 + rate], atol=1e-6)
 
     def test_rejects_mimo(self):
-        m = StateSpaceModel(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            transmission_zeros(m)
+        with pytest.raises(ValueError, match=r"B \(2, 2\), C \(2, 2\) and D \(2, 2\)"):
+            StateSpaceModel(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
 
 
 class TestLeastSquares:

@@ -191,5 +191,5 @@ class TestBoundConsistency:
         loop = closed_loop(truth, negate_output(syn.controller))
         assert loop.internally_stable
         bound = bound_for_model(truth)
-        assert hinf_norm(loop.T) >= bound.value - 1e-3
+        assert hinf_norm(loop.T) >= bound - 1e-3
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from occball.sysid import (
     fit_arx,
     fit_full_state,
     ho_kalman,
-    load_dataset,
     save_dataset,
     total_samples,
     truncate_to_budget,
@@ -263,42 +264,19 @@ class TestFitFullState:
 
 class TestDatasetIO:
     def test_roundtrip_and_hash(self, tmp_path):
+        # the CSVs hold every float exactly: parsed back, they hash to the manifest
         data = collect_budget(PARAMS, SENSOR, 100, seed=21)
         digest = save_dataset(tmp_path / "ds", data, {"seed": 21})
-        loaded, manifest = load_dataset(tmp_path / "ds")
-        assert manifest["dataset_hash"] == digest
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert manifest["dataset_hash"] == digest == dataset_hash(data)
         assert manifest["total_samples"] == total_samples(data)
-        for a, b in zip(data, loaded):
-            assert np.allclose(a.z, b.z)
-            assert np.allclose(a.u, b.u)
-            assert np.allclose(a.x_full, b.x_full)
-
-    def test_tampered_csv_rejected(self, tmp_path):
-        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
-        save_dataset(tmp_path / "ds", data, {"seed": 21})
-        path = tmp_path / "ds" / "traj_0001.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[2].split(",")
-        cells[5] = repr(float(cells[5]) + 1.0)  # the force at t = 1
-        lines[2] = ",".join(cells)
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="hashes to"):
-            load_dataset(tmp_path / "ds")
-
-    def test_missing_csv_rejected(self, tmp_path):
-        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
-        save_dataset(tmp_path / "ds", data, {"seed": 21})
-        (tmp_path / "ds" / "traj_0002.csv").unlink()
-        with pytest.raises(FileNotFoundError, match="traj_0002.csv"):
-            load_dataset(tmp_path / "ds")
-
-    def test_truncated_csv_names_file(self, tmp_path):
-        data = collect_budget(PARAMS, SENSOR, 100, seed=21)
-        save_dataset(tmp_path / "ds", data, {"seed": 21})
-        path = tmp_path / "ds" / "traj_0001.csv"
-        path.write_text(path.read_text().splitlines(keepends=True)[0])
-        with pytest.raises(ValueError, match="traj_0001.csv holds no samples"):
-            load_dataset(tmp_path / "ds")
+        loaded = []
+        for i in range(manifest["n_trajectories"]):
+            with open(tmp_path / "ds" / f"traj_{i:04d}.csv", newline="") as f:
+                _, *rows = csv.reader(f)
+            arr = np.array(rows, dtype=float)
+            loaded.append(Trajectory(z=arr[:, 6], u=arr[:, 5], x_full=arr[:, 1:5]))
+        assert len(loaded) == len(data) and dataset_hash(loaded) == digest
 
     def test_hash_is_stable(self):
         d1 = collect_budget(PARAMS, SENSOR, 100, seed=22)
