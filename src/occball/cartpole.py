@@ -90,14 +90,6 @@ class SimState(namedtuple("SimState", "h h_dot theta theta_dot")):
             raise ValueError("state entries must be finite")
         return tuple.__new__(cls, (h, h_dot, theta, theta_dot))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @classmethod
-    def from_array(cls, x) -> "SimState":
-        h, h_dot, theta, theta_dot = (float(v) for v in x)
-        return cls(h, h_dot, theta, theta_dot)
-
 
 @dataclass(frozen=True)
 class EpisodeConfig:

@@ -26,7 +26,7 @@ from .limits import pole_zero_bound
 from .linalg import poles, strictly_unstable, transmission_zeros
 from .rngtools import substream_seed
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, load_policy, save_policy, train
-from .sysid import collect_budget, dataset_hash, save_dataset
+from .sysid import check_orders, collect_budget, dataset_hash, save_dataset
 from .synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
 
 FIXATION = click.FloatRange(0.0, 1.0, min_open=True)  # 0 < ell0 <= ell = 1
@@ -46,6 +46,9 @@ class _FinitePositive(click.ParamType):
 
 FINITE_POSITIVE = _FinitePositive()
 
+# what reading a malformed, wrongly shaped or unusable model or policy file raises
+_BAD_FILE = (AttributeError, KeyError, OSError, TypeError, ValueError)
+
 SENSOR_ALIASES = {
     "true_z": "noise_free",
     "depth": "depth_like",
@@ -63,7 +66,7 @@ def _load_any_controller(path: str):
         if "blob" in head:
             return PolicyController(load_policy(path))
         return LtiController(load_controller(path)[0])
-    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+    except _BAD_FILE as exc:
         raise click.BadParameter(f"{path} is not a saved policy or LTI controller ({exc!r})",
                                  param_hint="--controller") from exc
 
@@ -132,6 +135,11 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
               help="Optionally persist the dataset to this directory.")
 def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, save_data):
     """Collect excitation data and identify a model."""
+    if method == "arxhk":
+        try:
+            check_orders(order_p, order_n, "--order-p", "--order-n")
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
     params = PhysicalParams(ell0=fixation)
     tier = SENSOR_ALIASES[sensor]
     spec = make_sensor(tier, params)
@@ -156,15 +164,20 @@ def sysid_cmd(fixation, sensor, budget, order_p, order_n, method, seed, out, sav
 @click.option("--out", type=click.Path(), required=True)
 def synth_cmd(model_in, epsilon, out):
     """Synthesize an H-infinity controller for an identified model."""
-    model, metadata = load_controller(model_in)
-    if epsilon is None:
-        tier = metadata.get("sensor", "noise_free")
-        if tier not in SENSOR_ALIASES:
-            raise click.ClickException(
-                f"model metadata names the unknown sensor tier {tier!r}; pass --epsilon"
-            )
-        epsilon = EPSILON_BY_TIER[SENSOR_ALIASES[tier]]
-    syn = hinf_synthesize(build_generalized_plant(model, epsilon))
+    try:
+        model, metadata = load_controller(model_in)
+        if epsilon is None:
+            tier = metadata.get("sensor", "noise_free")
+            if tier not in SENSOR_ALIASES:
+                raise click.ClickException(
+                    f"model metadata names the unknown sensor tier {tier!r}; pass --epsilon"
+                )
+            epsilon = EPSILON_BY_TIER[SENSOR_ALIASES[tier]]
+        plant = build_generalized_plant(model, epsilon)
+    except _BAD_FILE as exc:
+        raise click.BadParameter(f"{model_in} is not a usable model ({exc!r})",
+                                 param_hint="--model-in") from exc
+    syn = hinf_synthesize(plant)
     if not syn.feasible:
         click.echo(f"synthesis infeasible: {syn.diagnostics.get('reason', '')}", err=True)
         sys.exit(1)

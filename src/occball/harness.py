@@ -36,6 +36,7 @@ from .linalg import StateSpaceModel, negate_output
 from .rngtools import substream_seed
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, train
 from .sysid import (
+    check_orders,
     collect_budget,
     dataset_hash,
     fit_arx,
@@ -113,6 +114,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.method == "hinf_arxhk":
+            check_orders(self.arx_order, self.model_order, "arx_order", "model_order")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":

@@ -210,15 +210,14 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float):
     Acl = np.block([[A, -B2 @ F2], [L @ C2, Ak]])
     Bcl = np.vstack([B1, L @ D21])
     Ccl = np.hstack([C1, -D12 @ F2])
-    rho_cl = spectral_radius(Acl)
-    if rho_cl >= 1.0:
+    if spectral_radius(Acl) >= 1.0:
         raise GameDareInfeasible("certified closed loop is unstable")
     cl_norm = linf_norm(Acl, Bcl, Ccl)
     if cl_norm > gamma * (1.0 + 1e-6):
         raise GameDareInfeasible(
             f"certificate failed: closed-loop norm {cl_norm:.6g} above level {gamma:.6g}"
         )
-    return controller, cl_norm, {"rho_closed_loop": rho_cl}
+    return controller, cl_norm
 
 
 def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
@@ -271,13 +270,12 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
             else:
                 lhi = mid
                 best_gamma, best = math.exp(mid), result
-    controller, cl_norm, info = best
+    controller, cl_norm = best
     return SynthesizedController(
         controller=controller,
         gamma_achieved=cl_norm,
         epsilon=plant.epsilon,
         feasible=True,
         gamma_design=best_gamma,
-        diagnostics=info,
     )
 

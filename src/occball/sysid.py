@@ -30,7 +30,7 @@ from .cartpole import (
     simulate,
 )
 from .controllers import Controller
-from .linalg import StateSpaceModel, least_squares, spectral_radius
+from .linalg import StateSpaceModel, least_squares
 from .rngtools import chunked, substream
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "HoKalmanResult",
     "collect_budget",
     "total_samples",
-    "truncate_to_budget",
+    "check_orders",
     "fit_arx",
     "ho_kalman",
     "fit_full_state",
@@ -70,33 +70,14 @@ class ArxModel:
             raise ValueError("ARX coefficients must be finite")
         object.__setattr__(self, "G", G)
 
-    @property
-    def z_coeffs(self) -> np.ndarray:
-        return self.G[0::2]
-
-    @property
-    def u_coeffs(self) -> np.ndarray:
-        return self.G[1::2]
-
-    def predict(self, traj: Trajectory) -> np.ndarray:
-        """One-step predictions for t = p .. T-1 of a trajectory."""
-        Phi, _ = _regression_rows([traj], self.p)
-        return Phi @ self.G
-
 
 @dataclass(frozen=True)
 class HoKalmanResult:
-    """Realized observer (A_hat - L_hat C_hat stable by assumption)."""
+    """Realized model x(t+1) = A_hat x(t) + B_hat u(t), z(t) = C_hat x(t)."""
 
     A_hat: np.ndarray
     B_hat: np.ndarray
     C_hat: np.ndarray
-    L_hat: np.ndarray
-    singular_values: np.ndarray
-    n: int
-    predictor_spectral_radius: float
-    predictor_unstable: bool
-    rank_deficient: bool
 
     def to_model(self, dt: float = 1.0) -> StateSpaceModel:
         return StateSpaceModel(self.A_hat, self.B_hat, self.C_hat, np.zeros((1, 1)), dt)
@@ -106,50 +87,25 @@ def total_samples(data: list[Trajectory]) -> int:
     return sum(len(t) for t in data)
 
 
-def truncate_to_budget(data: list[Trajectory], budget: int) -> list[Trajectory]:
-    """Keep whole trajectories until the budget, truncating the last one."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    out, used = [], 0
-    for traj in data:
-        if used >= budget:
-            break
-        take = min(len(traj), budget - used)
-        if take == len(traj):
-            out.append(traj)
-        else:
-            out.append(
-                Trajectory(
-                    z=traj.z[:take],
-                    u=traj.u[:take],
-                    x_full=None if traj.x_full is None else traj.x_full[:take],
-                )
-            )
-        used += take
-    if used < budget:
-        raise ValueError(f"dataset holds {used} samples, below the requested budget {budget}")
-    return out
-
-
-def collect_budget(
-    params: PhysicalParams,
-    sensor: SensorSpec,
-    budget: int,
-    seed: int,
-) -> list[Trajectory]:
-    """Simulate excitation runs one at a time until the budget is met, then truncate.
+def collect_budget(params: PhysicalParams, sensor: SensorSpec, budget: int,
+                   seed: int) -> list[Trajectory]:
+    """Simulate excitation runs one at a time until the budget is met; the last is cut to it.
 
     Each run index draws from its own substreams, so the runs kept do not
     depend on how many are simulated after them.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     config = EpisodeConfig(max_steps=_MAX_EXCITE_STEPS)
     data: list[Trajectory] = []
-    used = 0
-    while used < budget:
+    left = budget
+    while left > 0:
         traj = _collect_one(params, sensor, seed, len(data), config)
+        if len(traj) > left:
+            traj = Trajectory(z=traj.z[:left], u=traj.u[:left], x_full=traj.x_full[:left])
         data.append(traj)
-        used += len(traj)
-    return truncate_to_budget(data, budget)
+        left -= len(traj)
+    return data
 
 
 class _Excitation(Controller):
@@ -178,7 +134,7 @@ def _collect_one(params, sensor, seed, index, config):
 
 def _regression_rows(data: list[Trajectory], p: int):
     """ARX regressors [z(t-1), u(t-1), ..., z(t-p), u(t-p)] and targets z(t), t = p .. T-1."""
-    blocks, targets = [], []
+    blocks, targets = [np.zeros((0, 2 * p))], [np.zeros(0)]
     for traj in data:
         z, u = traj.z, traj.u
         T = len(z)
@@ -190,9 +146,15 @@ def _regression_rows(data: list[Trajectory], p: int):
             rows[:, 2 * (k - 1) + 1] = u[p - k:T - k]
         blocks.append(rows)
         targets.append(z[p:])
-    if not blocks:
-        return np.zeros((0, 2 * p)), np.zeros(0)
     return np.concatenate(blocks), np.concatenate(targets)
+
+
+def check_orders(p: int, n: int, p_name: str = "p", n_name: str = "n") -> None:
+    """The ARX/Ho-Kalman order rule: p >= 2 (at p = 1 the shift has no rows), 1 <= n <= p."""
+    if p < 2:
+        raise ValueError(f"{p_name} must be at least 2, got {p}")
+    if not 1 <= n <= p:
+        raise ValueError(f"{n_name} must lie in [1, {p_name}] = [1, {p}], got {n}")
 
 
 def fit_arx(data: list[Trajectory], p: int) -> ArxModel:
@@ -200,35 +162,25 @@ def fit_arx(data: list[Trajectory], p: int) -> ArxModel:
     if p < 1:
         raise ValueError("autoregressive order p must be >= 1")
     Phi, y = _regression_rows(data, p)
-    needed = 2 * p
-    if Phi.shape[0] < needed:
-        raise ValueError(
-            f"insufficient data: {Phi.shape[0]} regression rows, need at least {needed}"
-        )
-    G = least_squares(Phi, y)
-    return ArxModel(G=G, p=p)
+    if len(Phi) < 2 * p:
+        raise ValueError(f"insufficient data: {len(Phi)} regression rows, need at least {2 * p}")
+    return ArxModel(G=least_squares(Phi, y), p=p)
 
 
 def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
     """Realize an order-n observer from ARX predictor Markov parameters.
 
-    The p x 2p Hankel matrix interleaves the input and output Markov
-    parameters in [B, L] column pairs, reversed so the final block pair is
-    (C B, C L); parameters beyond lag p are taken as zero (the predictor is
-    assumed stable enough that C Atilde^p [B L] has died out).  A truncated
-    SVD factors the Hankel into observability and controllability factors,
-    from which C, B, L are read off directly and Atilde by the shift
-    least-squares; A_hat = Atilde + L C.
-
-    Note: the interleaving follows the ARX regressor convention (the lag-k
-    output coefficient is C Atilde^{k-1} L and the input one C Atilde^{k-1} B),
-    with [B, L] column order within each Hankel block pair.
+    The lag-k ARX coefficients are C Atilde^{k-1} B (input) and C Atilde^{k-1} L
+    (output).  The p x 2p Hankel matrix holds them in [B, L] column pairs,
+    reversed so the final pair is (C B, C L); lags beyond p are taken as zero
+    (the predictor is assumed stable enough that C Atilde^p [B L] has died
+    out).  A truncated SVD factors the Hankel into observability and
+    controllability factors, from which C, B, L are read off directly and
+    Atilde by the shift least squares; A_hat = Atilde + L C.
     """
     p = arx.p
-    if n < 1 or n > p:
-        raise ValueError(f"model order n must satisfy 1 <= n <= p={p}")
-    gu = arx.u_coeffs
-    gz = arx.z_coeffs
+    check_orders(p, n)
+    gz, gu = arx.G[0::2], arx.G[1::2]
     H = np.zeros((p, 2 * p))
     for r in range(p):
         for c in range(p):
@@ -237,15 +189,6 @@ def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
                 H[r, 2 * c] = gu[k - 1]
                 H[r, 2 * c + 1] = gz[k - 1]
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    if s[0] <= 0.0:
-        zeros = np.zeros
-        return HoKalmanResult(
-            A_hat=zeros((n, n)), B_hat=zeros((n, 1)), C_hat=zeros((1, n)),
-            L_hat=zeros((n, 1)), singular_values=s, n=n,
-            predictor_spectral_radius=0.0, predictor_unstable=False,
-            rank_deficient=True,
-        )
-    rank_deficient = int(np.sum(s > s[0] * 1e-10)) < n
     root = np.sqrt(s[:n])
     Obs = U[:, :n] * root
     Ctr = root[:, None] * Vt[:n, :]
@@ -253,19 +196,7 @@ def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
     B_hat = Ctr[:, -2:-1]
     L_hat = Ctr[:, -1:]
     A_tilde = least_squares(Obs[:-1, :], Obs[1:, :])
-    rho = spectral_radius(A_tilde)
-    A_hat = A_tilde + L_hat @ C_hat
-    return HoKalmanResult(
-        A_hat=A_hat,
-        B_hat=B_hat,
-        C_hat=C_hat,
-        L_hat=L_hat,
-        singular_values=s,
-        n=n,
-        predictor_spectral_radius=rho,
-        predictor_unstable=bool(rho >= 1.0),
-        rank_deficient=bool(rank_deficient),
-    )
+    return HoKalmanResult(A_hat=A_tilde + L_hat @ C_hat, B_hat=B_hat, C_hat=C_hat)
 
 
 def fit_full_state(data: list[Trajectory], ell0: float, tau: float) -> StateSpaceModel:

@@ -77,7 +77,7 @@ class TestSimState:
 
     def test_array_roundtrip(self):
         x = np.array([0.1, -0.2, 0.03, 0.4])
-        back = SimState.from_array(x).as_array()
+        back = np.array(SimState(*x))
         assert back.dtype == np.float64 and np.array_equal(back, x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -230,11 +230,11 @@ class TestLinearize:
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            plus = step(p, SimState.from_array(dx), 0.0).as_array()
-            minus = step(p, SimState.from_array(-dx), 0.0).as_array()
+            plus = np.array(step(p, SimState(*dx), 0.0))
+            minus = np.array(step(p, SimState(*-dx), 0.0))
             A_fd[:, j] = (plus - minus) / (2 * eps)
         B_fd = (
-            step(p, SimState(), eps).as_array() - step(p, SimState(), -eps).as_array()
+            np.array(step(p, SimState(), eps)) - np.array(step(p, SimState(), -eps))
         ) / (2 * eps)
         assert np.max(np.abs(A_fd - m.A)) < 1e-6
         assert np.max(np.abs(B_fd - m.B[:, 0])) < 1e-6
@@ -246,7 +246,7 @@ class TestLinearize:
         for _ in range(20):
             x = rng.uniform(-1e-4, 1e-4, 4)
             u = float(rng.uniform(-1e-4, 1e-4))
-            nl = step(p, SimState.from_array(x), u).as_array()
+            nl = np.array(step(p, SimState(*x), u))
             lin = m.A @ x + m.B[:, 0] * u
             assert np.max(np.abs(nl - lin)) < 1e-8
 
@@ -255,7 +255,7 @@ class TestLinearize:
         m = linearize(p)
         st = SimState(h=0.01, theta=0.005)
         y = st.h + p.ell0 * math.sin(st.theta)
-        y_lin = (m.C @ st.as_array()).item()
+        y_lin = (m.C @ np.array(st)).item()
         assert abs(y - y_lin) < abs(st.theta) ** 3
 
 
@@ -336,7 +336,7 @@ class TestRunEpisode:
             def reading(st):
                 return st.h + p.ell0 * math.sin(st.theta) + sensor.sigma * rng.standard_normal()
 
-            replayed = [reading(SimState.from_array(x)) for x in traj.x_full]
+            replayed = [reading(SimState(*x)) for x in traj.x_full]
             assert len(traj) > 10 and np.array_equal(np.array(replayed), traj.z)
             assert y_end == reading(final)
 
@@ -359,7 +359,7 @@ class TestRunEpisode:
         rng = substream(11, "init")
         for _ in range(100):
             st = sample_initial_state(cfg, rng)
-            assert np.max(np.abs(st.as_array())) <= 0.05
+            assert np.max(np.abs(np.array(st))) <= 0.05
 
 
 class TestLtiEpisodePinned:

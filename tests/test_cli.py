@@ -188,6 +188,20 @@ class TestSweep:
         assert "--spec" in result.output and "fixation" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("orders, field", [
+        ({"arx_order": 1, "model_order": 1}, "arx_order"),
+        ({"arx_order": 3, "model_order": 4}, "model_order"),
+    ])
+    def test_arxhk_orders_rejected(self, runner, tmp_path, orders, field):
+        # found before any cell collects data, not as an error in every cell
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "hinf_arxhk", **orders}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and field in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("budgets", [math.nan]), ("n_repeats", 1.5)])
     def test_non_integer_spec_count_rejected(self, runner, tmp_path, field, value):
         # Python's json reads NaN and 1.5 alike; neither is a count
@@ -217,16 +231,33 @@ class TestSweep:
     # a controller must be SISO: this one has a 2 x 2 feedthrough
     (["eval", "--controller", "{mimo}", "--episodes", "1"], "--controller"),
     (["simulate", "--controller", "{mimo}", "--out-dir", "sim"], "--controller"),
+    # a model to synthesize for must parse, be SISO and have a state
+    *((["synth", "--model-in", model, "--out", "c.json"], "--model-in")
+      for model in ("{broken}", "{wide}", "{static}")),
+    # the ARX/Ho-Kalman orders are checked before any data is collected
+    (["sysid", "--budget", "500", "--order-p", "1", "--order-n", "1", "--out", "m.json"],
+     "--order-p"),
+    (["sysid", "--budget", "500", "--order-p", "3", "--order-n", "4", "--out", "m.json"],
+     "--order-n"),
 ])
 def test_out_of_range_count_rejected(runner, args, option):
+    files = {
+        "ctrl.json": "{}",
+        "mimo.json": json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0]],
+                                 "D": [[0.0, 0.0], [0.0, 0.0]], "dt": 0.02}),
+        "broken.json": '{"A": [[0.5]], "B":',
+        "wide.json": json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0, 0.0]],
+                                 "D": [[0.0]], "dt": 0.02}),
+        "static.json": json.dumps({"A": [], "B": [], "C": [[]], "D": [[2.0]], "dt": 0.02}),
+    }
     with runner.isolated_filesystem():
-        Path("ctrl.json").write_text("{}")
-        Path("mimo.json").write_text(json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0]],
-                                                 "D": [[0.0, 0.0], [0.0, 0.0]], "dt": 0.02}))
-        result = runner.invoke(main, [a.format(ctrl="ctrl.json", mimo="mimo.json") for a in args])
+        for name, text in files.items():
+            Path(name).write_text(text)
+        names = {name.removesuffix(".json"): name for name in files}
+        result = runner.invoke(main, [a.format(**names) for a in args])
         assert result.exit_code == 2, result.output
         assert option in result.output
-        assert sorted(p.name for p in Path(".").iterdir()) == ["ctrl.json", "mimo.json"]
+        assert sorted(p.name for p in Path(".").iterdir()) == sorted(files)
 
 # One pipeline through every subcommand that writes files, with noisy tiers so
 # the sensor substreams are drawn from; PINNED_OUTPUT_SHA256 names every file it writes.

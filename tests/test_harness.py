@@ -207,6 +207,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{field: value})
 
+    @pytest.mark.parametrize("orders, field", [
+        ({"arx_order": 1, "model_order": 1}, "arx_order must be at least 2"),
+        ({"arx_order": 3, "model_order": 4}, "model_order must lie in"),
+    ])
+    def test_arxhk_order_rule(self, orders, field):
+        # ARX/Ho-Kalman needs p >= 2 and 1 <= n <= p; other methods ignore the orders
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(method="hinf_arxhk", **orders)
+        assert ExperimentSpec(method="hinf_fullstate", **orders).arx_order == orders["arx_order"]
+
     @pytest.mark.parametrize("field, value, repeated", [
         ("fixations", (1.0, 0.8, 1.0), "1.0"),
         ("sensor_tiers", ("noise_free", "rgb_like", "noise_free"), "'noise_free'"),
