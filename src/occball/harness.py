@@ -33,7 +33,7 @@ from .cartpole import (
 from .controllers import Controller, LtiController
 from .limits import bound_for_model, closed_loop, hinf_norm
 from .linalg import StateSpaceModel, negate_output
-from .rngtools import substream_seed
+from .rngtools import substream_seed, substreams
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, train
 from .sysid import (
     check_orders,
@@ -138,12 +138,13 @@ def evaluate(
     config: EpisodeConfig | None = None,
 ) -> EvalResult:
     """Average survival reward and success rate over seeded episodes."""
-    if n_episodes < 1:
-        raise ValueError("need at least one evaluation episode")
+    if not (isinstance(n_episodes, numbers.Integral) and n_episodes >= 1):
+        raise ValueError(f"n_episodes must be an integer >= 1, got {n_episodes!r}")
     base = config or EpisodeConfig()
     episodes = []
-    for i in range(n_episodes):
-        cfg = replace(base, seed=substream_seed(seed, "eval-episode", i))
+    # episode i's seed is substream_seed(seed, "eval-episode", i)
+    for _, rng in zip(range(n_episodes), substreams(seed, "eval-episode")):
+        cfg = replace(base, seed=int(rng.integers(0, 2**63 - 1)))
         result, _ = run_episode(params, cfg, controller, sensor)
         episodes.append(result)
     rewards = [r.reward for r in episodes]

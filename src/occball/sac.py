@@ -35,7 +35,7 @@ from .cartpole import (
     simulate,
 )
 from .controllers import Controller
-from .rngtools import substream, substream_seed
+from .rngtools import substream, substreams
 
 __all__ = [
     "SacConfig",
@@ -564,8 +564,9 @@ def train(
     best_mean_episode = track_from
     stop_reason = "max_episodes"
 
-    for episode in range(max_episodes):
-        ep_config = replace(env_config, seed=substream_seed(config.seed, "train-episode", episode))
+    # episode i's seed is substream_seed(config.seed, "train-episode", i)
+    for episode, rng in zip(range(max_episodes), substreams(config.seed, "train-episode")):
+        ep_config = replace(env_config, seed=int(rng.integers(0, 2**63 - 1)))
         state, rng_sensor = episode_start(ep_config, sensor)
         result, traj, _, y_end = simulate(params, ep_config, actor, sensor, state, rng_sensor)
         if result.cause == "nonfinite_action":

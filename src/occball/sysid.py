@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .cartpole import (
 )
 from .controllers import Controller
 from .linalg import StateSpaceModel, least_squares
-from .rngtools import chunked, substream
+from .rngtools import chunked, substreams
 
 __all__ = [
     "ArxModel",
@@ -91,16 +92,21 @@ def collect_budget(params: PhysicalParams, sensor: SensorSpec, budget: int,
                    seed: int) -> list[Trajectory]:
     """Simulate excitation runs one at a time until the budget is met; the last is cut to it.
 
-    Each run index draws from its own substreams, so the runs kept do not
-    depend on how many are simulated after them.
+    Run i draws from index i of the "sysid-init", "sysid-excite" and (noisy
+    tiers only) sensor substreams, so the runs kept do not depend on how many
+    are simulated after them.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     config = EpisodeConfig(max_steps=_MAX_EXCITE_STEPS)
+    names = ["sysid-init", "sysid-excite"]
+    if sensor.sigma > 0.0:
+        names.append("sysid-" + SENSOR_STREAM)
+    runs = zip(*(substreams(seed, name) for name in names))
     data: list[Trajectory] = []
     left = budget
     while left > 0:
-        traj = _collect_one(params, sensor, seed, len(data), config)
+        traj = _collect_one(params, sensor, config, *next(runs))
         if len(traj) > left:
             traj = Trajectory(z=traj.z[:left], u=traj.u[:left], x_full=traj.x_full[:left])
         data.append(traj)
@@ -120,33 +126,32 @@ class _Excitation(Controller):
         return next(self._forces)
 
 
-def _collect_one(params, sensor, seed, index, config):
-    """Excitation run `index`, from its own init, excitation and (noisy only) sensor substreams."""
-    state = sample_initial_state(config, substream(seed, "sysid-init", index))
-    excitation = _Excitation(substream(seed, "sysid-excite", index))
-    rng_sensor = None
-    if sensor.sigma > 0.0:
-        rng_sensor = substream(seed, "sysid-" + SENSOR_STREAM, index)
-    _, traj, _, _ = simulate(params, config, excitation, sensor, state, rng_sensor,
+def _collect_one(params, sensor, config, rng_init, rng_excite, rng_sensor=None):
+    """One excitation run from its init, excitation and (noisy tiers only) sensor generators."""
+    state = sample_initial_state(config, rng_init)
+    _, traj, _, _ = simulate(params, config, _Excitation(rng_excite), sensor, state, rng_sensor,
                              h_origin=state.h)
     return traj
 
 
 def _regression_rows(data: list[Trajectory], p: int):
     """ARX regressors [z(t-1), u(t-1), ..., z(t-p), u(t-p)] and targets z(t), t = p .. T-1."""
-    blocks, targets = [np.zeros((0, 2 * p))], [np.zeros(0)]
-    for traj in data:
-        z, u = traj.z, traj.u
-        T = len(z)
-        if T <= p:
-            continue
-        rows = np.empty((T - p, 2 * p))
-        for k in range(1, p + 1):
-            rows[:, 2 * (k - 1)] = z[p - k:T - k]
-            rows[:, 2 * (k - 1) + 1] = u[p - k:T - k]
-        blocks.append(rows)
-        targets.append(z[p:])
-    return np.concatenate(blocks), np.concatenate(targets)
+    lengths = np.array([len(t) for t in data], dtype=np.intp)
+    z = np.concatenate([np.zeros(0)] + [t.z for t in data])
+    u = np.concatenate([np.zeros(0)] + [t.u for t in data])
+    # every position at least p samples into its run is a target
+    within = np.arange(len(z)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    targets = np.flatnonzero(within >= p)
+    # each column is gathered straight into a contiguous row of the transpose,
+    # with no (rows, p) index array or per-lag temporaries; lstsq copies its
+    # input into Fortran order anyway, so the layout leaves the fit's bits alone
+    cols = np.empty((2 * p, len(targets)))
+    lagged = targets.copy()
+    for k in range(p):
+        lagged -= 1
+        np.take(z, lagged, out=cols[2 * k])
+        np.take(u, lagged, out=cols[2 * k + 1])
+    return cols.T, z[targets]
 
 
 def check_orders(p: int, n: int, p_name: str = "p", n_name: str = "n") -> None:

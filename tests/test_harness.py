@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from occball import harness
 from occball.cartpole import EpisodeConfig, PhysicalParams, linearize, make_sensor, run_episode
 from occball.controllers import Controller, LtiController, ZeroController
 from occball.harness import (
@@ -80,6 +81,12 @@ class TestEvaluate:
         assert result.avg_reward == pytest.approx(
             sum(ep.reward for ep in result.episodes) / 7
         )
+
+    @pytest.mark.parametrize("n_episodes", [2.5, float("nan"), 0])
+    def test_non_integer_episode_count_rejected(self, monkeypatch, n_episodes):
+        monkeypatch.setattr(harness, "run_episode", lambda *args, **kwargs: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=r"n_episodes must be an integer >= 1, got"):
+            evaluate(ZeroController(), PARAMS, SENSOR, n_episodes=n_episodes, seed=1)
 
     def test_deterministic(self):
         r1 = evaluate(lqg_controller(), PARAMS, make_sensor("depth_like", PARAMS), 5, seed=3)

@@ -13,6 +13,8 @@ scipy.linalg (with what it pulls in) costs about half of a cold start, and
 only the generalized eigenproblems of zeros, norms and synthesis need it.  So
 the one scipy import sits in the body of ``linalg.pencil_eigvals``, and a
 fresh interpreter that simulates, identifies and trains never loads it.
+Likewise ``import occball`` does not load numpy.random (about 10 ms); the
+first draw does.
 """
 
 import ast
@@ -143,6 +145,7 @@ def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 after_import = scipy_loaded()
+random_after_import = "numpy.random" in sys.modules
 params = PhysicalParams(ell0=0.8)
 sensor = make_sensor("depth_like", params)
 ev = evaluate(ZeroController(), params, sensor, 2, seed=1)
@@ -155,6 +158,7 @@ after_work = scipy_loaded()
 zeros = transmission_zeros(linearize(PhysicalParams(ell0=0.8)))
 print(json.dumps({
     "after_import": after_import,
+    "random_after_import": random_after_import,
     "after_work": after_work,
     "linalg_after_zeros": "scipy.linalg" in sys.modules,
     "episodes": [len(ev.episodes), result.episodes_run],
@@ -175,6 +179,8 @@ def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["after_import"] == [] and out["after_work"] == []
+    # numpy.random loads at the first draw, not with the package
+    assert not out["random_after_import"]
     assert out["episodes"] == [2, 2] and out["model_orders"] == [4, 4]
     assert out["train_steps"] > 16  # past the warm-up, so sac_update ran
     assert 0.0 <= out["angle_deg"] < 15.0

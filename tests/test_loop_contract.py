@@ -14,6 +14,7 @@ episodes and excitation runs some other way, and this file changes with it.
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from occball import cartpole, rngtools
@@ -28,6 +29,16 @@ from test_harness import lqg_controller
 PARAMS = PhysicalParams(ell0=0.8)
 
 
+def patch_bindings(monkeypatch, original, replacement):
+    """Replace original with replacement in every occball module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "occball" or name.startswith("occball.")):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, replacement)
+
+
 def count_calls(monkeypatch, original):
     """Replace original in every occball module that binds it; returns the call log."""
     calls = []
@@ -36,12 +47,34 @@ def count_calls(monkeypatch, original):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "occball" or name.startswith("occball.")):
-            continue
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, wrapper)
+    patch_bindings(monkeypatch, original, wrapper)
+    return calls
+
+
+def count_drawn(monkeypatch):
+    """Wrap each occball binding of rngtools.substreams; returns the name of each draw."""
+    drawn = []
+    original = rngtools.substreams
+
+    def wrapper(seed, name):
+        for rng in original(seed, name):
+            drawn.append(name)
+            yield rng
+
+    patch_bindings(monkeypatch, original, wrapper)
+    return drawn
+
+
+def count_pcg64(monkeypatch):
+    """Count the PCG64 bit generators constructed; returns the call log."""
+    calls = []
+    original = np.random.PCG64
+
+    def wrapper(seed):
+        calls.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", wrapper)
     return calls
 
 
@@ -135,9 +168,14 @@ def test_episode_creates_only_the_substreams_it_draws(monkeypatch, tier, init_st
 
 @pytest.mark.parametrize("tier, per_run", [("noise_free", 2), ("rgb_like", 3)])
 def test_excitation_run_creates_only_the_substreams_it_draws(monkeypatch, tier, per_run):
-    streams = count_calls(monkeypatch, rngtools.substream)
+    # runs draw their generators from block-seeded substreams iterators, which
+    # build a PCG64 only for an index drawn; no one-off substream is seeded
+    single = count_calls(monkeypatch, rngtools.substream)
+    drawn = count_drawn(monkeypatch)
+    built = count_pcg64(monkeypatch)
     data = collect_budget(PARAMS, make_sensor(tier, PARAMS), 500, seed=6)
-    assert len(streams) == per_run * len(data)
+    assert len(drawn) == len(built) == per_run * len(data)
+    assert not single
 
 
 @pytest.mark.parametrize("tier, per_episode", [("noise_free", 0), ("depth_like", 1)])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from occball import sysid
 from occball.cartpole import PhysicalParams, Trajectory, linearize, make_sensor
 from occball.linalg import StateSpaceModel, poles, spectral_radius, tf_eval
 from occball.rngtools import substream
@@ -86,6 +87,12 @@ class TestCollect:
             assert np.array_equal(cut.z, full.z[:k])
             assert np.array_equal(cut.u, full.u[:k])
             assert np.array_equal(cut.x_full, full.x_full[:k])
+
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 0])
+    def test_non_integer_budget_rejected_before_simulating(self, monkeypatch, budget):
+        monkeypatch.setattr(sysid, "simulate", lambda *args, **kwargs: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=r"budget must be an integer >= 1, got"):
+            collect_budget(PARAMS, SENSOR, budget, seed=1)
 
     def test_records_full_state_always(self):
         data = collect_budget(PARAMS, make_sensor("rgb_like", PARAMS), 100, seed=6)
