@@ -179,7 +179,7 @@ def synth_cmd(model_in, epsilon, out):
                                  param_hint="--model-in") from exc
     syn = hinf_synthesize(plant)
     if not syn.feasible:
-        click.echo(f"synthesis infeasible: {syn.diagnostics.get('reason', '')}", err=True)
+        click.echo(f"synthesis infeasible: {syn.reason}", err=True)
         sys.exit(1)
     save_controller(out, syn.controller, metadata={
         "epsilon": syn.epsilon,

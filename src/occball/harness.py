@@ -32,7 +32,7 @@ from .cartpole import (
 )
 from .controllers import Controller, LtiController
 from .limits import bound_for_model, closed_loop, hinf_norm
-from .linalg import StateSpaceModel, negate_output
+from .linalg import StateSpaceModel
 from .rngtools import substream_seed, substreams
 from .sac import ALPHA_BY_TIER, PolicyController, SacConfig, train
 from .sysid import (
@@ -72,7 +72,6 @@ class EvalResult:
 class AngleResult:
     angle_deg: float
     monotonic: bool
-    probes_above: tuple
 
 
 @dataclass(frozen=True)
@@ -181,10 +180,10 @@ def max_stabilized_angle(
         raise ValueError(f"tol_deg must be positive, got {tol_deg}")
     config = EpisodeConfig()
     if not _survives_from_angle(controller, params, sensor, 0.0, config, probe_seed):
-        return AngleResult(0.0, True, ())
+        return AngleResult(0.0, True)
     hi_limit = config.theta_limit_deg
     if _survives_from_angle(controller, params, sensor, hi_limit, config, probe_seed):
-        return AngleResult(hi_limit, True, ())
+        return AngleResult(hi_limit, True)
     lo, hi = 0.0, hi_limit
     while hi - lo > tol_deg:
         mid = 0.5 * (lo + hi)
@@ -194,17 +193,13 @@ def max_stabilized_angle(
             lo = mid
         else:
             hi = mid
-    probes = []
     monotonic = True
     for delta in (0.5, 1.0, 2.0):
         angle = lo + delta
-        if angle >= hi_limit:
-            continue
-        survived = _survives_from_angle(controller, params, sensor, angle, config, probe_seed)
-        probes.append((angle, survived))
-        if survived:
+        if angle < hi_limit and _survives_from_angle(controller, params, sensor, angle,
+                                                     config, probe_seed):
             monotonic = False
-    return AngleResult(float(lo), monotonic, tuple(probes))
+    return AngleResult(float(lo), monotonic)
 
 
 def identify(method: str, data, params: PhysicalParams, arx_order: int,
@@ -226,11 +221,11 @@ def score(model: StateSpaceModel, params: PhysicalParams, sensor: SensorSpec,
     """Score a synthesized controller against the true plant.
 
     Closes the loop with the true linearization (the controller drives the
-    force from the measurement with negative feedback), reports its internal
+    force from the measurement as LtiController runs it), reports its internal
     stability and ||T||_inf (NaN when the loop is unstable), and bisects the
     largest initial tilt the controller survives on the nonlinear simulator.
     """
-    loop = closed_loop(linearize(params), negate_output(model))
+    loop = closed_loop(linearize(params), model)
     hinf_T = hinf_norm(loop.T) if loop.internally_stable else math.nan
     angle = max_stabilized_angle(LtiController(model), params, sensor, probe_seed=probe_seed)
     return {
@@ -285,7 +280,7 @@ def _hinf_cell(spec, params, tier, budget, repeat):
         row["error"] = str(exc)
         return row
     if not syn.feasible:
-        row["error"] = syn.diagnostics.get("reason", "synthesis infeasible")
+        row["error"] = syn.reason
         return row
     row["feasible"] = True
     row["gamma"] = syn.gamma_achieved

@@ -1,5 +1,5 @@
-"""Fundamental-limit calculations: H-infinity norms, sensitivity functions,
-and the unstable pole/zero lower bound on the complementary sensitivity.
+"""Fundamental-limit calculations: H-infinity norms, the complementary
+sensitivity of a closed loop, and the unstable pole/zero lower bound on it.
 
 The bound makes the control difficulty induced by the fixation point
 quantitative: as the fixation point drops, the unstable zero of the cartpole
@@ -19,7 +19,6 @@ from .linalg import (
     UNIT_CIRCLE_TOL,
     pencil_eigvals,
     poles,
-    series,
     spectral_radius,
     strictly_unstable,
     transmission_zeros,
@@ -47,9 +46,8 @@ _COINCIDENCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Sensitivity S and complementary sensitivity T of a negative-feedback loop."""
+    """Complementary sensitivity T of a closed loop and its internal stability."""
 
-    S: StateSpaceModel
     T: StateSpaceModel
     internally_stable: bool
 
@@ -145,19 +143,28 @@ def bound_for_model(model: StateSpaceModel) -> float:
 
 
 def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLoop:
-    """Close the negative-feedback loop u = -C y around P.
+    """Close the loop u = K(y) around P, with K as LtiController runs it (u = C x + D y).
 
-    Returns realizations of the sensitivity S = 1/(1+PC) and complementary
-    sensitivity T = PC/(1+PC) sharing the full interconnection state, so the
-    internal-stability flag reflects every plant and controller mode.
+    Returns a realization of the complementary sensitivity T = -PK/(1 - PK)
+    on the full interconnection state (controller states first, then plant
+    states), so the internal-stability flag reflects every plant and
+    controller mode.
     """
-    L = series(controller, plant)
-    den = 1.0 + float(L.D[0, 0])
+    P, K = plant, controller
+    # the loop gain L = P(-K) in cascade form: input -> -K -> P -> output
+    KC, KD = -K.C, -K.D
+    nk = K.n
+    A = np.zeros((nk + P.n, nk + P.n))
+    A[:nk, :nk] = K.A
+    A[nk:, nk:] = P.A
+    A[nk:, :nk] = P.B @ KC
+    B = np.vstack([K.B, P.B @ KD])
+    C = np.hstack([P.D @ KC, P.C])
+    D = (P.D @ KD)[0, 0]
+    den = 1.0 + float(D)
     if abs(den) < 1e-12:
-        raise ValueError("feedback loop is ill-posed (1 + P(inf)C(inf) = 0)")
-    A_s = L.A - (L.B @ L.C) / den
-    B_s = L.B / den
-    S = StateSpaceModel(A_s, B_s, -L.C / den, np.array([[1.0 / den]]), plant.dt)
-    T = StateSpaceModel(A_s, B_s, L.C / den, np.array([[L.D[0, 0] / den]]), plant.dt)
+        raise ValueError("feedback loop is ill-posed (1 - P(inf)K(inf) = 0)")
+    A_s = A - (B @ C) / den
+    T = StateSpaceModel(A_s, B / den, C / den, np.array([[D / den]]), P.dt)
     stable = spectral_radius(A_s) < 1.0 - INTERNAL_STABILITY_MARGIN
-    return ClosedLoop(S=S, T=T, internally_stable=stable)
+    return ClosedLoop(T=T, internally_stable=stable)

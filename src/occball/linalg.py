@@ -25,8 +25,6 @@ __all__ = [
     "doubling",
     "solve_dare",
     "spectral_radius",
-    "series",
-    "negate_output",
 ]
 
 UNIT_CIRCLE_TOL = 1e-7
@@ -185,15 +183,13 @@ def least_squares(Phi, Y) -> np.ndarray:
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    squeeze = Y.ndim == 1
     if Phi.ndim != 2:
         raise ValueError("Phi must be a 2-D matrix")
     if Phi.shape[0] < 1 or Phi.shape[1] < 1:
         raise ValueError(f"Phi must be at least 1x1, got {Phi.shape}")
     if not np.all(np.isfinite(Phi)) or not np.all(np.isfinite(Y)):
         raise ValueError("least_squares inputs must be finite")
-    G, *_ = np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)
-    return G if not squeeze else np.asarray(G)
+    return np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)[0]
 
 
 def spectral_radius(A) -> float:
@@ -270,19 +266,3 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
         raise DareInfeasibleError(f"no stabilizing DARE solution found (residual {res_norm:.3e})")
     return P
 
-
-def series(first: StateSpaceModel, second: StateSpaceModel) -> StateSpaceModel:
-    """Cascade: input -> first -> second -> output."""
-    n1, n2 = first.n, second.n
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = first.A
-    A[n1:, n1:] = second.A
-    A[n1:, :n1] = second.B @ first.C
-    B = np.vstack([first.B, second.B @ first.D])
-    C = np.hstack([second.D @ first.C, second.C])
-    D = second.D @ first.D
-    return StateSpaceModel(A, B, C, D, first.dt)
-
-
-def negate_output(model: StateSpaceModel) -> StateSpaceModel:
-    return StateSpaceModel(model.A, model.B, -model.C, -model.D, model.dt)

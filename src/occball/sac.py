@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import queue
 import threading
@@ -56,6 +57,11 @@ LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
 
+def _check_count(name: str, value, low: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SacConfig:
     history_len: int = 200
@@ -72,8 +78,11 @@ class SacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
+        for name, low in (("history_len", 1), ("batch_size", 1), ("buffer_capacity", 1),
+                          ("updates_per_step", 1), ("warmup_steps", 0)):
+            _check_count(name, getattr(self, name), low)
+        for width in self.hidden_widths:
+            _check_count("hidden_widths", width, 1)
         if not 0 < self.tau_target <= 1:
             raise ValueError("tau_target must lie in (0, 1]")
         if not 0 < self.gamma_discount < 1:
@@ -82,12 +91,6 @@ class SacConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name, low in (("batch_size", 1), ("buffer_capacity", 1),
-                          ("updates_per_step", 1), ("warmup_steps", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"hidden_widths must all be >= 1, got {self.hidden_widths}")
 
 
 # entropy temperature per sensor tier
@@ -552,8 +555,7 @@ def train(
     cold-start window, and the random-action warmup phase would otherwise
     plant an unbeatable early reference.
     """
-    if max_episodes < 1:
-        raise ValueError(f"max_episodes must be at least 1, got {max_episodes}")
+    _check_count("max_episodes", max_episodes, 1)
     env_config = env_config or EpisodeConfig()
     actor = _TrainingActor(SacAgent(config))
 

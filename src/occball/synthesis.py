@@ -17,7 +17,7 @@ performance gain within the level, so a formula slip cannot return a bad one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class SynthesizedController:
 
     gamma_achieved is the measured closed-loop disturbance-to-performance
     norm of the returned controller on the design model; gamma_design is the
-    smallest bisection level that certified.  When infeasible, diagnostics
+    smallest bisection level that certified.  When infeasible, reason
     names the condition that failed at the top of the gamma range.
     """
 
@@ -87,7 +87,7 @@ class SynthesizedController:
     epsilon: float
     feasible: bool
     gamma_design: float = math.nan
-    diagnostics: dict = field(default_factory=dict)
+    reason: str = ""
 
 
 def build_generalized_plant(model: StateSpaceModel, epsilon: float) -> GeneralizedPlant:
@@ -233,14 +233,14 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
     except DareInfeasibleError:
         return SynthesizedController(
             None, math.inf, plant.epsilon, False,
-            diagnostics={"reason": "(A, B2) is not stabilizable"},
+            reason="(A, B2) is not stabilizable",
         )
     try:
         solve_dare(plant.A.T, plant.C2.T, np.eye(n), np.eye(1))
     except DareInfeasibleError:
         return SynthesizedController(
             None, math.inf, plant.epsilon, False,
-            diagnostics={"reason": "(C2, A) is not detectable"},
+            reason="(C2, A) is not detectable",
         )
 
     def attempt(gamma):
@@ -253,7 +253,7 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
     if isinstance(top, GameDareInfeasible):
         return SynthesizedController(
             None, math.inf, plant.epsilon, False,
-            diagnostics={"reason": f"infeasible at gamma={GAMMA_HI:g}: {top}"},
+            reason=f"infeasible at gamma={GAMMA_HI:g}: {top}",
         )
     best_gamma, best = GAMMA_HI, top
 

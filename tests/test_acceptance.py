@@ -30,7 +30,6 @@ from occball.harness import ExperimentSpec, evaluate, run_sweep, score
 from occball.limits import bound_for_model, closed_loop, hinf_norm
 from occball.linalg import (
     StateSpaceModel,
-    negate_output,
     poles,
     solve_dare,
     spectral_radius,
@@ -112,7 +111,7 @@ def test_criterion_3_bound_consistency_spot():
         params, syn = _fullstate_controller(ell0, seed=17)
         assert syn.feasible
         truth = linearize(params)
-        loop = closed_loop(truth, negate_output(syn.controller))
+        loop = closed_loop(truth, syn.controller)
         if not loop.internally_stable:
             continue
         bound = bound_for_model(truth)

@@ -127,10 +127,21 @@ class TestMaxStabilizedAngle:
         assert res.angle_deg == pytest.approx(2.0, abs=0.011)
         assert res.monotonic
 
-    def test_monotonicity_probes_recorded(self):
+    def test_monotonicity_probes_recorded(self, monkeypatch):
+        angles = []
+
+        def recording(*args, **kwargs):
+            angles.append(math.degrees(kwargs["init_state"].theta))
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", recording)
         res = max_stabilized_angle(lqg_controller(), PARAMS, SENSOR)
         assert res.angle_deg > 1.0
-        assert all(angle > res.angle_deg for angle, _ in res.probes_above)
+        # after the probes at 0 and 15 degrees and 11 halvings come the guards
+        # above the result, each below the 15-degree limit
+        guards = [res.angle_deg + d for d in (0.5, 1.0, 2.0) if res.angle_deg + d < 15.0]
+        assert len(angles) == 2 + 11 + len(guards)
+        assert angles[13:] == pytest.approx(guards)
 
     @pytest.mark.parametrize("tol", [0.0, -0.01, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol):

@@ -15,6 +15,10 @@ the one scipy import sits in the body of ``linalg.pencil_eigvals``, and a
 fresh interpreter that simulates, identifies and trains never loads it.
 Likewise ``import occball`` does not load numpy.random (about 10 ms); the
 first draw does.
+
+A dataclass field that nothing reads is a result computed for no one, so every
+field of a dataclass in the package is read as ``.field`` somewhere in the
+package or the benchmark, outside its own class body.
 """
 
 import ast
@@ -31,6 +35,7 @@ from occball.cartpole import PhysicalParams
 
 PACKAGE = Path(occball.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
 
 
@@ -98,6 +103,31 @@ def _scipy_imports(tree):
     return list(visit(tree, None))
 
 
+def _dataclasses(tree):
+    """(class node, field names) of every class decorated with dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            yield node, [stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _attribute_reads(tree, skip=None) -> set:
+    """Every name read as .name in tree, outside the node skip."""
+    reads = set()
+    stack = [tree]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if child is skip:
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.add(child.attr)
+            stack.append(child)
+    return reads
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -130,6 +160,19 @@ def test_scipy_imported_only_by_pencil_eigvals(path):
 def test_pencil_eigvals_holds_the_scipy_import():
     found = _scipy_imports(ast.parse((PACKAGE / SCIPY_HOME[0]).read_text()))
     assert [func for func, _ in found] == [SCIPY_HOME[1]]
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path: ast.parse(path.read_text()) for path in MODULES + BENCH}
+    reads = {path: _attribute_reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path in MODULES:
+        for cls, names in _dataclasses(trees[path]):
+            elsewhere = _attribute_reads(trees[path], skip=cls).union(
+                *(r for p, r in reads.items() if p != path))
+            unread += [f"{path.stem}.{cls.name}.{name}" for name in names
+                       if name not in elsewhere]
+    assert BENCH and not unread, f"dataclass fields no code reads: {unread}"
 
 
 COLD_START = """

@@ -112,31 +112,29 @@ class TestClosedLoop:
     def test_zero_controller_open_loop(self):
         plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         loop = closed_loop(plant, static(0.0))
-        assert tf_eval(loop.S, 1.5)[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert abs(tf_eval(loop.T, 1.5)[0, 0]) < 1e-12
         assert loop.internally_stable
 
     def test_unity_static_loop(self):
-        loop = closed_loop(static(1.0), static(1.0))
-        assert float(loop.S.D[0, 0]) == pytest.approx(0.5)
+        loop = closed_loop(static(1.0), static(-1.0))
         assert float(loop.T.D[0, 0]) == pytest.approx(0.5)
 
     def test_ill_posed(self):
-        with pytest.raises(ValueError):
-            closed_loop(static(1.0), static(-1.0))
+        with pytest.raises(ValueError, match="ill-posed"):
+            closed_loop(static(1.0), static(1.0))
 
-    def test_s_plus_t_is_one(self):
+    def test_t_matches_formula(self):
+        # u = K(y) as LtiController runs K, so T = -PK / (1 - PK)
         rng = substream(8, "s-plus-t")
         plant = StateSpaceModel([[0.7, 0.1], [0.0, 0.6]], [[1.0], [0.5]],
                                 [[1.0, 0.0]], [[0.0]])
-        ctrl = StateSpaceModel([[0.2]], [[1.0]], [[0.4]], [[0.8]])
+        ctrl = StateSpaceModel([[0.2]], [[1.0]], [[-0.4]], [[-0.8]])
         loop = closed_loop(plant, ctrl)
         for _ in range(64):
             w = float(rng.uniform(0, math.pi))
             zeta = complex(math.cos(w), math.sin(w))
-            s = tf_eval(loop.S, zeta)[0, 0]
-            t = tf_eval(loop.T, zeta)[0, 0]
-            assert abs(s + t - 1.0) < 1e-8
+            pk = tf_eval(plant, zeta)[0, 0] * tf_eval(ctrl, zeta)[0, 0]
+            assert abs(tf_eval(loop.T, zeta)[0, 0] + pk / (1.0 - pk)) < 1e-8
 
     def test_instability_detected(self):
         plant = linearize(PhysicalParams())
@@ -153,8 +151,8 @@ class TestClosedLoop:
         Pf = solve_dare(A.T, C.T, 0.01 * np.eye(4), np.eye(1) * 1e-4)
         L = np.linalg.solve(1e-4 * np.eye(1) + C @ Pf @ C.T, C @ Pf @ A.T).T
         Ak = A - B @ K - L @ C
-        # u = -K xhat with xhat <- Ak xhat + L y; closed_loop wires u = -C(y)
-        ctrl = StateSpaceModel(Ak, L, K, np.zeros((1, 1)), plant.dt)
+        # u = -K xhat with xhat <- Ak xhat + L y; closed_loop wires u = C xhat + D y
+        ctrl = StateSpaceModel(Ak, L, -K, np.zeros((1, 1)), plant.dt)
         loop = closed_loop(plant, ctrl)
         assert loop.internally_stable
         bound = bound_for_model(plant)

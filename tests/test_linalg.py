@@ -9,9 +9,7 @@ from occball.linalg import (
     StateSpaceModel,
     UNIT_CIRCLE_TOL,
     least_squares,
-    negate_output,
     poles,
-    series,
     solve_dare,
     spectral_radius,
     strictly_unstable,
@@ -209,19 +207,5 @@ class TestStrictlyUnstable:
 
 
 class TestCombinators:
-    def test_series_matches_product(self):
-        rng = substream(6, "series")
-        g1 = StateSpaceModel([[0.4]], [[1.0]], [[0.7]], [[0.1]])
-        g2 = StateSpaceModel([[0.2]], [[0.5]], [[1.0]], [[0.3]])
-        chain = series(g1, g2)
-        for _ in range(5):
-            zeta = complex(rng.uniform(1.5, 2.5), rng.uniform(-1, 1))
-            ref = tf_eval(g2, zeta)[0, 0] * tf_eval(g1, zeta)[0, 0]
-            assert abs(tf_eval(chain, zeta)[0, 0] - ref) < 1e-12
-
-    def test_negate_output(self):
-        g = StateSpaceModel([[0.4]], [[1.0]], [[0.7]], [[0.1]])
-        assert tf_eval(negate_output(g), 2.0)[0, 0] == -tf_eval(g, 2.0)[0, 0]
-
     def test_spectral_radius_empty(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0

@@ -136,10 +136,14 @@ def test_evaluate_runs_one_episode_each(monkeypatch):
 def test_angle_bisection_runs_one_episode_per_probe(monkeypatch):
     episodes = count_calls(monkeypatch, cartpole.run_episode)
     res = max_stabilized_angle(lqg_controller(PARAMS), PARAMS, make_sensor("depth_like", PARAMS))
-    # probes at 0 and 15 degrees, 11 halvings of 15 degrees down to 0.01, then the extras
+    # probes at 0 and 15 degrees, 11 halvings of 15 degrees down to 0.01, then the
+    # guards 0.5, 1 and 2 degrees above the result that lie below 15 degrees
     assert 0.0 < res.angle_deg < 15.0
-    assert len(episodes) == 2 + 11 + len(res.probes_above)
     assert all(isinstance(kw["init_state"], SimState) for _, kw in episodes)
+    angles = [math.degrees(kw["init_state"].theta) for _, kw in episodes]
+    guards = [res.angle_deg + d for d in (0.5, 1.0, 2.0) if res.angle_deg + d < 15.0]
+    assert len(angles) == 2 + 11 + len(guards)
+    assert angles[13:] == pytest.approx(guards)
 
 
 def test_collection_steps_only_the_runs_it_keeps(monkeypatch):

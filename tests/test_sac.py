@@ -177,6 +177,14 @@ class TestSacConfig:
         ("hidden_widths", (8, 0)),
         ("alpha", 0.0),
         ("alpha", math.nan),
+        # counts must be integers: a float was truncated, or failed later unnamed
+        ("history_len", 16.7),
+        ("history_len", math.nan),
+        ("hidden_widths", (8.5, 8)),
+        ("batch_size", 2.5),
+        ("buffer_capacity", 100.5),
+        ("updates_per_step", 1.5),
+        ("warmup_steps", math.inf),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -560,7 +568,7 @@ class TestTraining:
             train(params, make_sensor("noise_free", params), cfg, max_episodes=2,
                   env_config=EpisodeConfig(max_steps=40))
 
-    @pytest.mark.parametrize("episodes", [0, -1])
+    @pytest.mark.parametrize("episodes", [0, -1, 2.5, math.nan])
     def test_rejects_no_episodes(self, monkeypatch, episodes):
         monkeypatch.setattr(sacmod, "SacAgent", lambda config: pytest.fail("agent built"))
         params = PhysicalParams()

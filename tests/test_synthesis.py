@@ -8,7 +8,7 @@ import scipy.linalg
 from occball import synthesis
 from occball.cartpole import PhysicalParams, linearize, make_sensor
 from occball.limits import bound_for_model, closed_loop, hinf_norm, linf_norm
-from occball.linalg import StateSpaceModel, negate_output, spectral_radius
+from occball.linalg import StateSpaceModel, spectral_radius
 from occball.sysid import collect_budget, fit_arx, fit_full_state, ho_kalman
 from occball.synthesis import (
     EPSILON_BY_TIER,
@@ -59,7 +59,7 @@ class TestSynthesize:
         syn = hinf_synthesize(build_generalized_plant(plant, 100.0))
         assert syn.feasible
         assert np.max(np.abs(syn.controller.C)) < 1e-2
-        loop = closed_loop(plant, negate_output(syn.controller))
+        loop = closed_loop(plant, syn.controller)
         assert loop.internally_stable
         # closed loop is essentially the open loop
         assert hinf_norm(loop.T) < 0.05
@@ -87,7 +87,7 @@ class TestSynthesize:
         C = np.array([[1.0, 1.0]])
         syn = hinf_synthesize(build_generalized_plant(StateSpaceModel(A, B, C, [[0.0]]), 1e-2))
         assert not syn.feasible
-        assert "stabilizable" in syn.diagnostics["reason"]
+        assert "stabilizable" in syn.reason
 
     def test_undetectable_unstable_mode_diagnosed(self):
         A = np.diag([2.0, 0.5])
@@ -95,7 +95,7 @@ class TestSynthesize:
         C = np.array([[0.0, 1.0]])
         syn = hinf_synthesize(build_generalized_plant(StateSpaceModel(A, B, C, [[0.0]]), 1e-2))
         assert not syn.feasible
-        assert "detectable" in syn.diagnostics["reason"]
+        assert "detectable" in syn.reason
 
     def test_bisection_monotone_feasibility(self):
         model = identified_model(budget=5000)
@@ -172,13 +172,30 @@ def test_pinned_synthesis_bytes():
     for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
         model = identified_model(budget, seed, ell0, method, tier)
         syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
-        fields = (syn.feasible, syn.gamma_design, syn.gamma_achieved,
-                  syn.diagnostics.get("reason"))
+        # a feasible controller's empty reason hashes as the None it was pinned with
+        fields = (syn.feasible, syn.gamma_design, syn.gamma_achieved, syn.reason or None)
         digest.update(repr(fields).encode())
         if syn.controller is not None:
             for M in (syn.controller.A, syn.controller.B, syn.controller.C, syn.controller.D):
                 digest.update(np.ascontiguousarray(M, dtype=float).tobytes())
     assert digest.hexdigest()[:16] == PINNED_SYNTHESIS_SHA256
+
+
+PINNED_CLOSED_LOOP_T_SHA256 = "e07ea946b3a43ee6"
+
+
+def test_pinned_closed_loop_T_bytes():
+    # T of each feasible pinned cell's controller on the true plant, as harness.score builds it
+    digest = hashlib.sha256()
+    for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
+        model = identified_model(budget, seed, ell0, method, tier)
+        syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+        if syn.controller is None:
+            continue
+        T = closed_loop(linearize(PhysicalParams(ell0=ell0)), syn.controller).T
+        for M in (T.A, T.B, T.C, T.D):
+            digest.update(np.ascontiguousarray(M, dtype=float).tobytes())
+    assert digest.hexdigest()[:16] == PINNED_CLOSED_LOOP_T_SHA256
 
 
 class TestBoundConsistency:
@@ -188,7 +205,7 @@ class TestBoundConsistency:
         syn = hinf_synthesize(build_generalized_plant(model, 5e-3))
         assert syn.feasible
         truth = linearize(PhysicalParams(ell0=ell0))
-        loop = closed_loop(truth, negate_output(syn.controller))
+        loop = closed_loop(truth, syn.controller)
         assert loop.internally_stable
         bound = bound_for_model(truth)
         assert hinf_norm(loop.T) >= bound - 1e-3
