@@ -74,18 +74,24 @@ def linf_norm(A, B, C, D=None) -> float:
     """
     D = np.zeros((C.shape[0], B.shape[1])) if D is None else D
     n, m = B.shape
-    On, Onm = np.zeros((n, n)), np.zeros((n, m))
+    k = 2 * n + m
+    x, v, u = slice(0, n), slice(n, 2 * n), slice(2 * n, k)
+    CtC = C.T @ C
     w = np.concatenate([[0.0, math.pi], np.abs(np.angle(np.linalg.eigvals(A)))])
     lower = float(_sigma_max(A, B, C, D, w).max())
     while True:
-        # the pencil of G / gamma at level 1 keeps its blocks on the model's scale
+        # the pencil of G / gamma at level 1 keeps its blocks on the model's scale:
+        # M = [[A, 0, Bs], [0, I, 0], [-Ds'C, -Bs', (gamma/s)^2 I - Ds'Ds]] and
+        # N = [[I, 0, 0], [C'C, A', C'Ds], [0, 0, 0]], in Fortran order for QZ to work in place
         gamma = (1.0 + 2.0 * _LINF_RTOL) * lower
         s = gamma or 1.0
         Bs, Ds = B / s, D / s
-        M = np.block([[A, On, Bs], [On, np.eye(n), Onm],
-                      [-Ds.T @ C, -Bs.T, (gamma / s) ** 2 * np.eye(m) - Ds.T @ Ds]])
-        N = np.block([[np.eye(n), On, Onm], [C.T @ C, A.T, C.T @ Ds],
-                      [np.zeros((m, 2 * n + m))]])
+        M = np.zeros((k, k), order="F")
+        N = np.zeros((k, k), order="F")
+        M[x, x], M[x, u], M[v, v] = A, Bs, np.eye(n)
+        M[u, x], M[u, v], M[u, u] = -Ds.T @ C, -Bs.T, (gamma / s) ** 2 * np.eye(m) - Ds.T @ Ds
+        N[x, x] = np.eye(n)
+        N[v, x], N[v, v], N[v, u] = CtC, A.T, C.T @ Ds
         a, b = pencil_eigvals(M, N)
         near = np.abs(np.abs(a) - np.abs(b)) <= _CROSSING_TOL * np.abs(b)
         w = np.unique(np.abs(np.angle(a[near] * np.conj(b[near]))))

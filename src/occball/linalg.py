@@ -7,6 +7,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class StateSpaceModel:
                 raise ValueError(f"{name} contains non-finite entries")
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
     @property
     def n(self) -> int:
@@ -144,13 +145,23 @@ def poles(model: StateSpaceModel) -> list:
 def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Homogeneous generalized eigenvalues (alpha, beta) of the pencil M - lambda N.
 
-    Returns a (2, k) array, rows alpha and beta, by QZ.  This is occball's only
-    use of scipy: scipy.linalg is imported on the first call, so processes that
+    Returns a (2, k) array, rows alpha and beta, by one QZ run (LAPACK's
+    dggev, with the workspace scipy.linalg.eig queries and the values it
+    returns).  M and N may be overwritten.  This is occball's only use of
+    scipy: scipy.linalg is imported on the first call, so processes that
     never solve a pencil (simulation, identification, SAC) never load it.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    return scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
+    if not (np.isfinite(M).all() and np.isfinite(N).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # a workspace query, which leaves M and N untouched, then the QZ run for the values alone
+    work = lapack.dggev(M, N, lwork=-1, overwrite_a=1, overwrite_b=1)[-2]
+    alphar, alphai, beta, _, _, _, info = lapack.dggev(
+        M, N, compute_vl=0, compute_vr=0, lwork=int(work[0]), overwrite_a=1, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
+    return np.vstack((alphar + 1j * alphai, beta))
 
 
 def transmission_zeros(model: StateSpaceModel) -> list:
@@ -163,7 +174,8 @@ def transmission_zeros(model: StateSpaceModel) -> list:
     n = model.n
     if n == 0:
         return []
-    M = np.block([[model.A, model.B], [model.C, model.D]])
+    M = np.zeros((n + 1, n + 1), order="F")
+    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = model.A, model.B, model.C, model.D
     N = np.zeros_like(M)
     N[:n, :n] = np.eye(n)
     alpha, beta = pencil_eigvals(M, N)
@@ -199,39 +211,53 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
+def _fro(X: np.ndarray) -> float:
+    """Frobenius norm by the one dot product np.linalg.norm(X, "fro") runs."""
+    x = X.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def doubling(A, G, H) -> np.ndarray:
     """Structured doubling for X = H + A' X (I + G X)^-1 A (Chu, Fan & Lin 2005).
 
     This is the package's one Riccati iteration.  With G = B R^-1 B' it
-    converges quadratically to the stabilizing DARE solution; with G = 0 it
-    is Smith's doubling for the Stein equation X = A' X A + H.  Breakdown,
-    divergence, or no convergence within _MAX_DOUBLINGS doublings raises
-    DareInfeasibleError; the caller certifies the returned X.
+    converges quadratically to the stabilizing DARE solution (solve_dare
+    and the first solve of each synthesis game).  With G = 0 (the two
+    Newton steps of each synthesis game) the Stein equation X = A' X A + H
+    remains, and since W = I + G H is then exactly I, each doubling is
+    Smith's H + A' H A, A^2 with the same bytes and no solves.  Breakdown,
+    divergence (a non-finite H or one above 1e150 in norm), or no
+    convergence within _MAX_DOUBLINGS doublings raises DareInfeasibleError;
+    the caller certifies the returned X.
     """
-    Ak = A.copy()
-    Gk = G.copy()
-    Hk = H.copy()
+    stein = not G.any()
+    Ak, Gk, Hk = A, G, H
     eye = np.eye(A.shape[0])
-    for _ in range(_MAX_DOUBLINGS):
-        W = eye + Gk @ Hk
-        try:
-            M1 = np.linalg.solve(W, Ak)
-            M2 = np.linalg.solve(W, Gk)
-        except np.linalg.LinAlgError as exc:
-            raise DareInfeasibleError(f"doubling iteration broke down: {exc}") from exc
-        An = Ak @ M1
-        Gn = Gk + Ak @ M2 @ Ak.T
-        Hn = Hk + Ak.T @ Hk @ M1
-        if not np.all(np.isfinite(Hn)):
-            raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
-        with np.errstate(over="ignore"):  # an overflowing norm reads inf, above the cap
-            h_norm = np.linalg.norm(Hn, "fro")
-        if h_norm > 1e150:
-            raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
-        delta = np.linalg.norm(Hn - Hk, "fro")
-        Ak, Gk, Hk = An, Gn, 0.5 * (Hn + Hn.T)
-        if delta <= _DOUBLING_TOL * (1.0 + h_norm):
-            return Hk
+    # ndarray.dot runs the gemm that @ runs, with half its dispatch cost at these sizes;
+    # an overflow or inf - inf leaves a non-finite H, which the norm test reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_DOUBLINGS):
+            if stein:
+                Hn = Hk + Ak.T.dot(Hk).dot(Ak)
+            else:
+                W = eye + Gk.dot(Hk)
+                try:
+                    M1 = np.linalg.solve(W, Ak)
+                    M2 = np.linalg.solve(W, Gk)
+                except np.linalg.LinAlgError as exc:
+                    raise DareInfeasibleError(f"doubling iteration broke down: {exc}") from exc
+                Hn = Hk + Ak.T.dot(Hk).dot(M1)
+            h_norm = _fro(Hn)
+            if not h_norm <= 1e150:
+                raise DareInfeasibleError("doubling iteration diverged (non-stabilizable pair?)")
+            delta = _fro(Hn - Hk)
+            Hk = 0.5 * (Hn + Hn.T)
+            if delta <= _DOUBLING_TOL * (1.0 + h_norm):
+                return Hk
+            if stein:
+                Ak = Ak.dot(Ak)
+            else:
+                Ak, Gk = Ak.dot(M1), Gk + Ak.dot(M2).dot(Ak.T)
     raise DareInfeasibleError(f"doubling iteration did not converge in {_MAX_DOUBLINGS} steps")
 
 
@@ -247,6 +273,9 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
     B = _matrix(B)
     Q = _matrix(Q)
     R = _matrix(R)
+    for name, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} contains non-finite entries")
     n = A.shape[0]
     if Q.shape != (n, n):
         raise ValueError("Q must match the state dimension")

@@ -130,8 +130,9 @@ def _game_dare(A, B, S, Q, R, n_pos: int):
     """
 
     def gain_and_residual(X):
-        K = np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
-        res = Q + A.T @ X @ A - (A.T @ X @ B + S) @ K - X
+        BtX, AtX = B.T.dot(X), A.T.dot(X)  # the products of @ at half its dispatch cost
+        K = np.linalg.solve(R + BtX.dot(B), BtX.dot(A) + S.T)
+        res = Q + AtX.dot(A) - (AtX.dot(B) + S).dot(K) - X
         return K, 0.5 * (res + res.T)
 
     try:
@@ -207,7 +208,9 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float):
     controller = StateSpaceModel(Ak, L, -F2, np.zeros((1, 1)), plant.dt)
 
     # a-posteriori certificate on the design interconnection
-    Acl = np.block([[A, -B2 @ F2], [L @ C2, Ak]])
+    n = plant.n
+    Acl = np.zeros((2 * n, 2 * n))
+    Acl[:n, :n], Acl[:n, n:], Acl[n:, :n], Acl[n:, n:] = A, -B2 @ F2, L @ C2, Ak
     Bcl = np.vstack([B1, L @ D21])
     Ccl = np.hstack([C1, -D12 @ F2])
     if spectral_radius(Acl) >= 1.0:

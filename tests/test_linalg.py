@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +11,9 @@ from occball.linalg import (
     PoleEvaluationError,
     StateSpaceModel,
     UNIT_CIRCLE_TOL,
+    doubling,
     least_squares,
+    pencil_eigvals,
     poles,
     solve_dare,
     spectral_radius,
@@ -31,6 +36,15 @@ class TestStateSpaceModel:
             StateSpaceModel(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), [[0.0]])
         with pytest.raises(ValueError):
             StateSpaceModel(np.eye(2) * np.nan, np.zeros((2, 1)), np.zeros((1, 2)), [[0.0]])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, math.inf, math.nan])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt)
+        # a saved controller file reaches the model through json and from_dict
+        d = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], 0.02).to_dict()
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            StateSpaceModel.from_dict(json.loads(json.dumps({**d, "dt": dt})))
 
     def test_static_gain_roundtrip(self):
         m = StateSpaceModel.static_gain(5.0)
@@ -190,6 +204,75 @@ class TestSolveDare:
     def test_requires_spd_r(self):
         with pytest.raises(ValueError):
             solve_dare([[0.5]], [[1.0]], [[1.0]], [[-1.0]])
+
+    @pytest.mark.parametrize("name, bad", [("A", math.nan), ("B", math.inf),
+                                           ("Q", math.inf), ("R", math.nan)])
+    def test_nonfinite_input_named(self, name, bad):
+        mats = {"A": np.array([[1.1, 0.1], [0.0, 0.9]]), "B": np.array([[0.0], [1.0]]),
+                "Q": np.eye(2), "R": np.eye(1)}
+        mats[name][0, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            solve_dare(**mats)
+
+
+def _reference_doubling(A, G, H):
+    """The structured-doubling loop as it ran every case before its G = 0 form."""
+    Ak, Gk, Hk = A.copy(), G.copy(), H.copy()
+    eye = np.eye(A.shape[0])
+    for _ in range(100):
+        W = eye + Gk @ Hk
+        M1 = np.linalg.solve(W, Ak)
+        M2 = np.linalg.solve(W, Gk)
+        An = Ak @ M1
+        Gn = Gk + Ak @ M2 @ Ak.T
+        Hn = Hk + Ak.T @ Hk @ M1
+        assert np.all(np.isfinite(Hn))
+        h_norm = np.linalg.norm(Hn, "fro")
+        delta = np.linalg.norm(Hn - Hk, "fro")
+        Ak, Gk, Hk = An, Gn, 0.5 * (Hn + Hn.T)
+        if delta <= 1e-14 * (1.0 + h_norm):
+            return Hk
+    raise AssertionError("the reference loop did not converge")
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stein_form(self, n, seed):
+        # G = 0: Smith's iteration, bitwise the general loop, and the Lyapunov solution
+        rng = substream(seed, "stein")
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.3, 0.95) / spectral_radius(A)
+        H = rng.standard_normal((n, n))
+        H = H + H.T
+        G = np.zeros((n, n))
+        X = doubling(A, G, H)
+        assert X.tobytes() == _reference_doubling(A, G, H).tobytes()
+        ref = scipy.linalg.solve_discrete_lyapunov(A.T, H)
+        assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_riccati_form_matches_reference_loop(self, n, seed):
+        rng = substream(seed, "riccati")
+        A = 1.2 * rng.standard_normal((n, n))
+        B = rng.standard_normal((n, 2))
+        G = B @ B.T
+        H = rng.standard_normal((n, n))
+        H = H @ H.T
+        assert doubling(A, G, H).tobytes() == _reference_doubling(A, G, H).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 17, 21])
+def test_pencil_eigvals_match_scipy_eig_bytes(k):
+    rng = substream(k, "pencil")
+    M = rng.standard_normal((k, k))
+    N = rng.standard_normal((k, k))
+    N[k // 2:] = 0.0  # infinite eigenvalues, as in the norm and zero pencils
+    ref = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
+    for order in ("C", "F"):
+        got = pencil_eigvals(np.array(M, order=order), np.array(N, order=order))
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 class TestStrictlyUnstable:

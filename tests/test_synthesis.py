@@ -165,13 +165,43 @@ PINNED_SYNTHESIS_CELLS = [
     (1.0, "noise_free", "arxhk", 100, 3),
 ]
 PINNED_SYNTHESIS_SHA256 = "d8d53edd9c0a77fc"
+PINNED_CLOSED_LOOP_T_SHA256 = "e07ea946b3a43ee6"
+PINNED_GAMMA_TRACE_SHA256 = "8cffa8edc7f0a7ae"
 
 
-def test_pinned_synthesis_bytes():
+@pytest.fixture(scope="module")
+def pinned_syntheses():
+    """(ell0, synthesis, gamma trace) per pinned cell, identified and synthesized once.
+
+    The trace lists each _attempt_level call's (gamma, outcome) in order, the
+    outcome being "ok" or the GameDareInfeasible text.
+    """
+    real = synthesis._attempt_level
+    trace = []
+
+    def recording(plant, gamma):
+        try:
+            result = real(plant, gamma)
+        except GameDareInfeasible as exc:
+            trace.append((gamma, str(exc)))
+            raise
+        trace.append((gamma, "ok"))
+        return result
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_attempt_level", recording)
+        for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
+            model = identified_model(budget, seed, ell0, method, tier)
+            trace.clear()
+            syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+            out.append((ell0, syn, list(trace)))
+    return out
+
+
+def test_pinned_synthesis_bytes(pinned_syntheses):
     digest = hashlib.sha256()
-    for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
-        model = identified_model(budget, seed, ell0, method, tier)
-        syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+    for _, syn, _ in pinned_syntheses:
         # a feasible controller's empty reason hashes as the None it was pinned with
         fields = (syn.feasible, syn.gamma_design, syn.gamma_achieved, syn.reason or None)
         digest.update(repr(fields).encode())
@@ -181,21 +211,26 @@ def test_pinned_synthesis_bytes():
     assert digest.hexdigest()[:16] == PINNED_SYNTHESIS_SHA256
 
 
-PINNED_CLOSED_LOOP_T_SHA256 = "e07ea946b3a43ee6"
-
-
-def test_pinned_closed_loop_T_bytes():
+def test_pinned_closed_loop_T_bytes(pinned_syntheses):
     # T of each feasible pinned cell's controller on the true plant, as harness.score builds it
     digest = hashlib.sha256()
-    for ell0, tier, method, budget, seed in PINNED_SYNTHESIS_CELLS:
-        model = identified_model(budget, seed, ell0, method, tier)
-        syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+    for ell0, syn, _ in pinned_syntheses:
         if syn.controller is None:
             continue
         T = closed_loop(linearize(PhysicalParams(ell0=ell0)), syn.controller).T
         for M in (T.A, T.B, T.C, T.D):
             digest.update(np.ascontiguousarray(M, dtype=float).tobytes())
     assert digest.hexdigest()[:16] == PINNED_CLOSED_LOOP_T_SHA256
+
+
+def test_pinned_gamma_trace(pinned_syntheses):
+    # every level the bisection tried, and why it passed or failed
+    digest = hashlib.sha256()
+    for _, _, trace in pinned_syntheses:
+        for gamma, outcome in trace:
+            digest.update(repr((gamma, outcome)).encode())
+    assert sum(len(trace) for _, _, trace in pinned_syntheses) > 0
+    assert digest.hexdigest()[:16] == PINNED_GAMMA_TRACE_SHA256
 
 
 class TestBoundConsistency:
