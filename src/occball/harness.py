@@ -162,11 +162,14 @@ def _survives_from_angle(controller, params, sensor, theta_deg, config, probe_se
     return result.success
 
 
+# max_stabilized_angle halves its interval until it is this narrow
+_ANGLE_TOL_DEG = 0.01
+
+
 def max_stabilized_angle(
     controller: Controller,
     params: PhysicalParams,
     sensor: SensorSpec,
-    tol_deg: float = 0.01,
     probe_seed: int = 2024,
 ) -> AngleResult:
     """Bisect the largest initial tilt the controller survives for 500 steps.
@@ -176,8 +179,6 @@ def max_stabilized_angle(
     probes above the returned angle guard against non-monotone stabilization
     basins: if any of them survives, the monotonic flag comes back False.
     """
-    if not tol_deg > 0.0:
-        raise ValueError(f"tol_deg must be positive, got {tol_deg}")
     config = EpisodeConfig()
     if not _survives_from_angle(controller, params, sensor, 0.0, config, probe_seed):
         return AngleResult(0.0, True)
@@ -185,10 +186,8 @@ def max_stabilized_angle(
     if _survives_from_angle(controller, params, sensor, hi_limit, config, probe_seed):
         return AngleResult(hi_limit, True)
     lo, hi = 0.0, hi_limit
-    while hi - lo > tol_deg:
+    while hi - lo > _ANGLE_TOL_DEG:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # an interval one ulp wide cannot be halved
-            break
         if _survives_from_angle(controller, params, sensor, mid, config, probe_seed):
             lo = mid
         else:

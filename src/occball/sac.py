@@ -8,11 +8,13 @@ guard every gradient.
 
 Each update has two branches that share no data: the critic targets and
 losses, and the policy loss, which reads the critics but not their targets.
-The critic branch runs on the calling thread while one helper thread runs
-the policy branch; the optimizer steps are then split the same way.  Each
-branch does the array operations of a serial update, in the same order, and
-every BLAS call stays on one thread, so training is bit for bit the same as
-a serial run and fully determined by the seed.
+The critic branch runs on the calling thread while the one worker of a
+thread pool runs the policy branch; the optimizer steps are then split the
+same way.  Each branch does the array operations of a serial update, in the
+same order, and every BLAS call stays on one thread, so training is bit for
+bit the same as a serial run and fully determined by the seed.  The last
+task sent to the pool is held until the next one, so the arrays it reaches
+stay allocated between updates instead of being trimmed and faulted in again.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import json
 import math
 import numbers
 import os
-import queue
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -336,74 +336,47 @@ def _soft_update(target: Mlp, online: Mlp, tau: float):
         pt += tau * po
 
 
-class _Helper:
-    """A daemon thread that runs submitted functions one at a time.
-
-    One thread serves every update: it keeps its BLAS buffers and allocator
-    arena, which a thread started per call maps and faults in again.  The
-    loop holds each task until the next one arrives, so q2's gradients (and
-    the last agent updated) live on into the next replay sample; with that
-    the allocator trims and re-faults less, and a 30-episode default-config
-    training pass ran about 20% faster than with each task dropped once it
-    ran, at about 4 MiB more peak memory.
-    """
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self._tasks = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="occball-sac-helper", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            fn, done = self._tasks.get()
-            try:
-                done.put((fn(), None))
-            except BaseException as exc:
-                done.put((None, exc))
-
-    def submit(self, fn) -> queue.SimpleQueue:
-        done = queue.SimpleQueue()
-        self._tasks.put((fn, done))
-        return done
-
-
-# started on the first update, and again in a forked child, which inherits
-# the object but not its thread; callers racing here may each start one,
-# and each uses the one it started
-_helper = None
+# (pid, pool): made on the first update, and again in a forked child, which
+# inherits the pool but not its worker thread
+_pool = (None, None)
+_held = None
 
 
 def _in_parallel(main, side):
-    """Run side() on the helper thread while main() runs here; return both results.
+    """Run side() on the pool's worker while main() runs here; return both results.
 
     Both have finished before anything is returned or raised, and an
     exception raised by side() is re-raised here.  The overlap comes from
     numpy releasing the interpreter lock inside BLAS calls and large
-    elementwise loops.
+    elementwise loops.  concurrent.futures, which loads logging, is imported
+    here so that importing the package loads neither.
     """
-    global _helper
-    helper = _helper
-    if helper is None or helper.pid != os.getpid():
-        helper = _helper = _Helper()
-    done = helper.submit(side)
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool, _held
+    pid, pool = _pool
+    if pid != os.getpid():
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="occball-sac-helper")
+        _pool = (os.getpid(), pool)
+    _held = side  # until the next call, so the allocator keeps its arrays' pages mapped
+    future = pool.submit(side)
     try:
         result = main()
     finally:
-        side_result, side_error = done.get()
-    if side_error is not None:
-        raise side_error
-    return result, side_result
+        wait((future,))
+    return result, future.result()
 
 
-def sac_update(agent: SacAgent, batch: dict, config: SacConfig, rng: np.random.Generator):
+def sac_update(agent: SacAgent, batch: dict, rng: np.random.Generator):
     """One gradient step on both critics and the policy plus target smoothing.
 
-    The critic branch runs on the calling thread and the policy branch on
-    the helper; then q2's optimizer step and smoothing run on the helper
-    beside the rest.  Rejects the update (raising RuntimeError) if any loss
-    turns non-finite; a rejected update, or an error in either branch,
-    changes nothing.
+    Runs under agent.config.  The critic branch runs on the calling thread
+    and the policy branch on the pool's worker; then q2's optimizer step and
+    smoothing run on the worker beside the rest.  Rejects the update
+    (raising RuntimeError) if any loss turns non-finite; a rejected update,
+    or an error in either branch, changes nothing.
     """
+    config = agent.config
     s, a, r, s2, d = batch["s"], batch["a"], batch["r"], batch["s2"], batch["d"]
     dtype = agent.q1.dtype
     B = len(r)
@@ -663,7 +636,7 @@ class _TrainingActor(PolicyController):
         c = self.agent.config
         if self.total_steps > c.warmup_steps and self.buffer.size >= c.batch_size:
             for _ in range(c.updates_per_step):
-                sac_update(self.agent, self.buffer.sample(c.batch_size, self.rng_batch), c,
+                sac_update(self.agent, self.buffer.sample(c.batch_size, self.rng_batch),
                            self.rng_updates)
 
 

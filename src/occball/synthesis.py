@@ -127,6 +127,7 @@ def _game_dare(A, B, S, Q, R, n_pos: int):
     (leading block positive definite, trailing Schur complement negative
     definite), the residual must pass the solve_dare bound, and A - BK must
     be stable.  Any failure means the requested level is infeasible.
+    Returns X, the gain K and R + B'XB.
     """
 
     def gain_and_residual(X):
@@ -158,7 +159,7 @@ def _game_dare(A, B, S, Q, R, n_pos: int):
         raise GameDareInfeasible(f"game Riccati residual {res_norm:.3e} too large")
     if spectral_radius(A - B @ K) >= 1.0:
         raise GameDareInfeasible("saddle-point closed loop is not stable")
-    return X, K
+    return X, K, Rx
 
 
 def _attempt_level(plant: GeneralizedPlant, gamma: float):
@@ -172,11 +173,10 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float):
     R = np.zeros((1 + nw, 1 + nw))
     R[0, 0] = plant.epsilon**2
     R[1:, 1:] = -gamma**2 * np.eye(nw)
-    X, Kx = _game_dare(A, B, np.zeros((plant.n, 1 + nw)), C1.T @ C1, R, n_pos=1)
+    _, Kx, J = _game_dare(A, B, np.zeros((plant.n, 1 + nw)), C1.T @ C1, R, n_pos=1)
     F2 = Kx[0:1, :]
     F1 = Kx[1:, :]
 
-    J = R + B.T @ X @ B
     J11 = J[:1, :1]
     J12 = J[:1, 1:]
     W = -(J[1:, 1:] - J12.T @ np.linalg.solve(J11, J12))
@@ -201,7 +201,7 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float):
             [(D11b @ D21b.T).item(), (D11b @ D11b.T).item() - 1.0],
         ]
     )
-    _, Kf = _game_dare(Abar.T, Bf, Sf, B1b @ B1b.T, Rf, n_pos=1)
+    _, Kf, _ = _game_dare(Abar.T, Bf, Sf, B1b @ B1b.T, Rf, n_pos=1)
     L = Kf[0:1, :].T
 
     Ak = Abar - B2 @ F2 - L @ C2bar

@@ -189,6 +189,7 @@ def scipy_loaded():
 
 after_import = scipy_loaded()
 random_after_import = "numpy.random" in sys.modules
+futures_after_import = "concurrent.futures" in sys.modules
 params = PhysicalParams(ell0=0.8)
 sensor = make_sensor("depth_like", params)
 ev = evaluate(ZeroController(), params, sensor, 2, seed=1)
@@ -197,11 +198,13 @@ data = collect_budget(params, sensor, 300, seed=2)
 models = [identify(method, data, params, 6, 4) for method in ("arxhk", "fullstate")]
 config = SacConfig(hidden_widths=(16, 16), history_len=20, batch_size=16, warmup_steps=16, seed=3)
 result = train(params, make_sensor("noise_free", params), config, max_episodes=2)
+futures_after_train = "concurrent.futures" in sys.modules
 after_work = scipy_loaded()
 zeros = transmission_zeros(linearize(PhysicalParams(ell0=0.8)))
 print(json.dumps({
     "after_import": after_import,
     "random_after_import": random_after_import,
+    "futures": [futures_after_import, futures_after_train],
     "after_work": after_work,
     "linalg_after_zeros": "scipy.linalg" in sys.modules,
     "episodes": [len(ev.episodes), result.episodes_run],
@@ -226,6 +229,8 @@ def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
     assert not out["random_after_import"]
     assert out["episodes"] == [2, 2] and out["model_orders"] == [4, 4]
     assert out["train_steps"] > 16  # past the warm-up, so sac_update ran
+    # the update's thread pool loads concurrent.futures (and logging) on first use
+    assert out["futures"] == [False, True]
     assert 0.0 <= out["angle_deg"] < 15.0
     assert out["linalg_after_zeros"]
     params = PhysicalParams(ell0=0.8)

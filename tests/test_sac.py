@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -85,8 +86,9 @@ def margin_batch(rng, q1, q2, policy, H=3, B=5):
             return s, a, y, xi
 
 
-def serial_update(agent, batch, config, rng):
+def serial_update(agent, batch, rng):
     """Reference: sac_update's arithmetic in one thread, in its serial order."""
+    config = agent.config
     s, a, r, s2, d = batch["s"], batch["a"], batch["r"], batch["s2"], batch["d"]
     dtype = agent.q1.dtype
     B = len(r)
@@ -146,12 +148,12 @@ def run_pinned(update, updates=25):
     buf = pinned_buffer()
     rng_batch, rng_noise = substream(23, "pinned-batch"), substream(24, "pinned-noise")
     for _ in range(updates):
-        diag = update(agent, buf.sample(PINNED.batch_size, rng_batch), PINNED, rng_noise)
+        diag = update(agent, buf.sample(PINNED.batch_size, rng_batch), rng_noise)
     return agent, diag
 
 
-def _update_and_send(agent, batch, config, seed, conn):
-    conn.send(sac_update(agent, batch, config, substream(seed, "fork-noise")))
+def _update_and_send(agent, batch, seed, conn):
+    conn.send(sac_update(agent, batch, substream(seed, "fork-noise")))
     conn.close()
 
 
@@ -294,7 +296,7 @@ class TestSacUpdate:
         return SacAgent(cfg, dtype=np.float64), cfg
 
     def test_zero_discount_targets_equal_reward(self):
-        agent, cfg = self._fresh(gamma=1e-12, lr=3e-3)
+        agent, _ = self._fresh(gamma=1e-12, lr=3e-3)
         rng = substream(12, "targets")
         batch = {
             "s": rng.uniform(-1, 1, (4, 3)),
@@ -305,7 +307,7 @@ class TestSacUpdate:
         }
         # with zero reward and (near) zero discount the critic regresses to 0
         for _ in range(1000):
-            diag = sac_update(agent, batch, cfg, rng)
+            diag = sac_update(agent, batch, rng)
         x = np.concatenate([batch["s"], batch["a"][:, None]], axis=1)
         assert np.max(np.abs(agent.q1.forward(x)[:, 0])) < 0.02
         assert diag["loss_q1"] < 1e-3
@@ -334,7 +336,7 @@ class TestSacUpdate:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_loss_rejected(self):
-        agent, cfg = self._fresh()
+        agent, _ = self._fresh()
         rng = substream(15, "nan")
         batch = {
             "s": np.full((4, 3), np.nan),
@@ -345,11 +347,11 @@ class TestSacUpdate:
         }
         before = agent_state(agent)
         with pytest.raises(RuntimeError):
-            sac_update(agent, batch, cfg, rng)
+            sac_update(agent, batch, rng)
         assert_same_state(before, agent)
 
     def test_policy_branch_error_is_reraised(self, monkeypatch):
-        agent, cfg = self._fresh()
+        agent, _ = self._fresh()
         rng = substream(15, "raise")
         batch = {
             "s": rng.uniform(-1, 1, (4, 3)),
@@ -365,13 +367,13 @@ class TestSacUpdate:
         before = agent_state(agent)
         monkeypatch.setattr(sacmod, "_policy_loss_grads", broken)
         with pytest.raises(ValueError, match="policy branch failed"):
-            sac_update(agent, batch, cfg, rng)
+            sac_update(agent, batch, rng)
         assert_same_state(before, agent)
-        # the helper thread outlives the error and serves the next update
+        # the pool's worker outlives the error and serves the next update
         monkeypatch.undo()
         expected = copy.deepcopy(agent)
-        diag = sac_update(agent, batch, cfg, substream(15, "after"))
-        assert diag == serial_update(expected, batch, cfg, substream(15, "after"))
+        diag = sac_update(agent, batch, substream(15, "after"))
+        assert diag == serial_update(expected, batch, substream(15, "after"))
         assert_same_state(agent_state(expected), agent)
 
     def test_matches_serial_reference_bitwise(self):
@@ -393,18 +395,18 @@ class TestSacUpdate:
         )
 
     def test_update_in_forked_child(self):
-        # the helper thread started here does not exist in a forked child,
-        # which must start its own instead of waiting on this one
-        agent, cfg = self._fresh()
+        # the pool's worker thread started here does not exist in a forked
+        # child, which must make its own pool instead of waiting on this one
+        agent, _ = self._fresh()
         buf = ReplayBuffer(1000, 3)
         rng = substream(16, "fork-data")
         buf.add_episode(rng.normal(0, 1, 41), rng.uniform(-10, 10, 40), np.ones(40), False)
         rng_batch = substream(16, "fork-batch")
-        sac_update(agent, buf.sample(4, rng_batch), cfg, substream(16, "first"))
+        sac_update(agent, buf.sample(4, rng_batch), substream(16, "first"))
         batch = buf.sample(4, rng_batch)
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_update_and_send, args=(agent, batch, cfg, 17, send))
+        child = ctx.Process(target=_update_and_send, args=(agent, batch, 17, send))
         child.start()
         send.close()
         try:
@@ -416,7 +418,17 @@ class TestSacUpdate:
                 child.kill()
                 child.join()
         assert child.exitcode == 0
-        assert got == serial_update(agent, batch, cfg, substream(17, "fork-noise"))
+        assert got == serial_update(agent, batch, substream(17, "fork-noise"))
+
+    def test_updates_share_one_worker_thread(self):
+        agent, _ = self._fresh()
+        buf = ReplayBuffer(1000, 3)
+        rng = substream(18, "worker-data")
+        buf.add_episode(rng.normal(0, 1, 41), rng.uniform(-10, 10, 40), np.ones(40), False)
+        for _ in range(5):
+            sac_update(agent, buf.sample(4, rng), rng)
+        workers = [t for t in threading.enumerate() if t.name.startswith("occball-sac-helper")]
+        assert len(workers) == 1
 
     def test_import_starts_no_thread(self):
         code = "import threading, occball, occball.sac, occball.cli; print(threading.active_count())"
@@ -663,7 +675,7 @@ class TestLearnability:
                 window = np.roll(window, -1)
                 window[-1] = nxt
                 if buf.size >= 32:
-                    sac_update(agent, buf.sample(32, rng_upd), cfg, rng_upd)
+                    sac_update(agent, buf.sample(32, rng_upd), rng_upd)
                 if died:
                     break
             buf.add_episode(obs, acts, rews, died)

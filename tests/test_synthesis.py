@@ -124,9 +124,9 @@ class TestSynthesize:
         real = synthesis._game_dare
 
         def recording(A, B, S, Q, R, n_pos):
-            X, K = real(A, B, S, Q, R, n_pos)
+            X, K, Rx = real(A, B, S, Q, R, n_pos)
             games.append((A, B, S, Q, R, X))
-            return X, K
+            return X, K, Rx
 
         monkeypatch.setattr(synthesis, "_game_dare", recording)
         _attempt_level(gp, gamma)
