@@ -32,6 +32,7 @@ __all__ = [
     "Trajectory",
     "SENSOR_TIERS",
     "SENSOR_STREAM",
+    "check_count",
     "make_sensor",
     "step",
     "linearize",
@@ -51,6 +52,12 @@ SENSOR_TIERS = {
 }
 # name of the substream sensor noise is drawn from
 SENSOR_STREAM = "sensor"
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming value unless it is an integer >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_fields(obj, positive=(), nonnegative=()):
@@ -100,8 +107,7 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        check_count("max_steps", self.max_steps, 1)
         _check_fields(self, positive=("h_limit", "theta_limit_deg"),
                       nonnegative=("init_halfwidth",))
 

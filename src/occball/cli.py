@@ -221,10 +221,10 @@ def train_rl_cmd(fixation, sensor, episodes, alpha, seed, log_every, out_dir):
     write_curve(out / "curve.csv", result.curve)
     save_policy(out / "policy.json", result.agent.policy, metadata={
         "fixation": fixation, "sensor": tier, "seed": seed,
-        "episodes_run": result.episodes_run, "stop_reason": result.stop_reason,
+        "episodes_run": len(result.curve), "stop_reason": result.stop_reason,
     })
     click.echo(
-        f"trained {result.episodes_run} episodes (stop: {result.stop_reason}); "
+        f"trained {len(result.curve)} episodes (stop: {result.stop_reason}); "
         f"final running reward {result.curve[-1][1]:.1f}"
     )
 

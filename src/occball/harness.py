@@ -26,6 +26,7 @@ from .cartpole import (
     PhysicalParams,
     SensorSpec,
     SimState,
+    check_count,
     make_sensor,
     linearize,
     run_episode,
@@ -110,9 +111,7 @@ class ExperimentSpec:
                     raise ValueError(f"{name} repeats {v!r}; grid entries must be distinct")
         for name in ("n_eval_episodes", "n_repeats", "rl_seeds", "rl_max_episodes",
                      "arx_order", "model_order"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name), 1)
         if self.method == "hinf_arxhk":
             check_orders(self.arx_order, self.model_order, "arx_order", "model_order")
 
@@ -137,8 +136,7 @@ def evaluate(
     config: EpisodeConfig | None = None,
 ) -> EvalResult:
     """Average survival reward and success rate over seeded episodes."""
-    if not (isinstance(n_episodes, numbers.Integral) and n_episodes >= 1):
-        raise ValueError(f"n_episodes must be an integer >= 1, got {n_episodes!r}")
+    check_count("n_episodes", n_episodes, 1)
     base = config or EpisodeConfig()
     episodes = []
     # episode i's seed is substream_seed(seed, "eval-episode", i)
@@ -357,8 +355,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1):
     Failures inside an H-infinity cell are recorded in its error column and
     the sweep continues.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_count("jobs", jobs, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if spec.method == "rl":

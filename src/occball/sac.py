@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .cartpole import (
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
+    check_count,
     episode_start,
     simulate,
 )
@@ -57,11 +57,6 @@ LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
 
-def _check_count(name: str, value, low: int) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SacConfig:
     history_len: int = 200
@@ -80,9 +75,9 @@ class SacConfig:
     def __post_init__(self):
         for name, low in (("history_len", 1), ("batch_size", 1), ("buffer_capacity", 1),
                           ("updates_per_step", 1), ("warmup_steps", 0)):
-            _check_count(name, getattr(self, name), low)
+            check_count(name, getattr(self, name), low)
         for width in self.hidden_widths:
-            _check_count("hidden_widths", width, 1)
+            check_count("hidden_widths", width, 1)
         if not 0 < self.tau_target <= 1:
             raise ValueError("tau_target must lie in (0, 1]")
         if not 0 < self.gamma_discount < 1:
@@ -416,83 +411,62 @@ def sac_update(agent: SacAgent, batch: dict, rng: np.random.Generator):
 
 
 class ReplayBuffer:
-    """Uniform replay over transitions, stored as per-episode streams.
+    """Uniform replay over transitions, stored as one set of flat streams.
 
-    Observations are scalars, so episodes are kept as flat arrays and the
-    H-step history windows are rebuilt on sampling; this keeps a million
-    transitions in tens of megabytes instead of the gigabytes a materialized
-    window-per-transition layout would need.  Whole episodes are evicted
-    oldest-first once capacity is exceeded.
+    The kept episodes lie end to end in obs (T + 1 entries per episode) and
+    in a, r and d (T each); _first[e] is the index of episode e's first
+    transition, so its observations start at _first[e] + e.  Observations are
+    scalars, so the H-step history windows are gathered on sampling; this
+    keeps a million transitions in tens of megabytes instead of the
+    gigabytes a materialized window-per-transition layout would need.  Whole
+    episodes are evicted oldest-first once capacity is exceeded, and the
+    newest episode is always kept.
     """
 
-    def __init__(self, capacity: int, history_len: int, dtype=np.float32):
+    def __init__(self, capacity: int, history_len: int):
         self.capacity = int(capacity)
         self.H = int(history_len)
-        self.dtype = dtype
-        self._episodes = []
+        self.obs = self.a = self.r = self.d = np.zeros(0, dtype=np.float32)
+        self._first = np.zeros(0, dtype=np.int64)
         self.size = 0
-        self._flat = None  # rebuilt lazily: concatenated obs + per-transition tables
 
     def add_episode(self, obs, actions, rewards, terminal: bool):
-        obs = np.asarray(obs, dtype=self.dtype)
-        actions = np.asarray(actions, dtype=self.dtype)
-        rewards = np.asarray(rewards, dtype=self.dtype)
+        obs = np.asarray(obs, dtype=np.float32)
+        actions = np.asarray(actions, dtype=np.float32)
+        rewards = np.asarray(rewards, dtype=np.float32)
         T = len(actions)
         if T < 1 or len(obs) != T + 1 or len(rewards) != T:
             raise ValueError("episode arrays must satisfy len(obs) == len(actions)+1")
-        done = np.zeros(T, dtype=self.dtype)
-        if terminal:
-            done[-1] = 1.0
-        self._episodes.append({"obs": obs, "a": actions, "r": rewards, "d": done})
-        self.size += T
-        while self.size > self.capacity and len(self._episodes) > 1:
-            dropped = self._episodes.pop(0)
-            self.size -= len(dropped["a"])
-        self._flat = None
-
-    def _rebuild_flat(self):
-        # flattened view: transition k maps to an absolute obs index, and the
-        # window start is clamped to its episode's first observation, so a
-        # whole batch of histories is one fancy-indexing gather
-        obs_all = np.concatenate([ep["obs"] for ep in self._episodes])
-        offsets = np.cumsum([0] + [len(ep["obs"]) for ep in self._episodes])[:-1]
-        obs_pos, ep_start, a_all, r_all, d_all = [], [], [], [], []
-        for ep, off in zip(self._episodes, offsets):
-            T = len(ep["a"])
-            obs_pos.append(off + np.arange(T))
-            ep_start.append(np.full(T, off))
-            a_all.append(ep["a"])
-            r_all.append(ep["r"])
-            d_all.append(ep["d"])
-        self._flat = {
-            "obs": obs_all,
-            "pos": np.concatenate(obs_pos),
-            "start": np.concatenate(ep_start),
-            "a": np.concatenate(a_all),
-            "r": np.concatenate(r_all),
-            "d": np.concatenate(d_all),
-        }
+        done = np.zeros(T, dtype=np.float32)
+        done[-1] = terminal
+        first = np.append(self._first, self.size)
+        # drop the oldest episodes that no longer fit, but never the newest
+        e = min(int(np.searchsorted(first, self.size + T - self.capacity)), len(first) - 1)
+        cut = int(first[e])
+        self.obs = np.concatenate((self.obs[cut + e:], obs))
+        self.a = np.concatenate((self.a[cut:], actions))
+        self.r = np.concatenate((self.r[cut:], rewards))
+        self.d = np.concatenate((self.d[cut:], done))
+        self._first = first[e:] - cut
+        self.size += T - cut
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
         """A uniform batch of transitions; "s" and "s2" are views of one array."""
         if self.size < 1:
             raise ValueError("buffer is empty")
-        if self._flat is None:
-            self._rebuild_flat()
-        f = self._flat
         k = rng.integers(0, self.size, size=batch_size)
-        pos = f["pos"][k]
-        start = f["start"][k]
+        e = np.searchsorted(self._first, k, "right") - 1
+        start = self._first[e] + e
         # one window H + 1 wide covers both histories: s and s2 clamp to the
         # same episode start, so s2 is s shifted by one observation
         lags = np.arange(-self.H + 1, 2)
-        window = f["obs"][np.maximum(pos[:, None] + lags, start[:, None])]
+        window = self.obs[np.maximum((k + e)[:, None] + lags, start[:, None])]
         return {
             "s": window[:, :-1],
-            "a": f["a"][k],
-            "r": f["r"][k],
+            "a": self.a[k],
+            "r": self.r[k],
             "s2": window[:, 1:],
-            "d": f["d"][k],
+            "d": self.d[k],
         }
 
 
@@ -504,7 +478,6 @@ _PLATEAU_MIN_GAIN, _PLATEAU_FLOOR = 1.0, 1000
 class TrainResult:
     curve: list  # (episode, running_reward, steps_cumulative)
     agent: SacAgent
-    episodes_run: int
     stop_reason: str
 
 
@@ -528,7 +501,7 @@ def train(
     cold-start window, and the random-action warmup phase would otherwise
     plant an unbeatable early reference.
     """
-    _check_count("max_episodes", max_episodes, 1)
+    check_count("max_episodes", max_episodes, 1)
     env_config = env_config or EpisodeConfig()
     actor = _TrainingActor(SacAgent(config))
 
@@ -567,12 +540,7 @@ def train(
         if episode >= _PLATEAU_FLOOR and episode - best_mean_episode >= plateau_window:
             stop_reason = "plateau"
             break
-    return TrainResult(
-        curve=curve,
-        agent=actor.agent,
-        episodes_run=len(curve),
-        stop_reason=stop_reason,
-    )
+    return TrainResult(curve=curve, agent=actor.agent, stop_reason=stop_reason)
 
 
 class PolicyController(Controller):

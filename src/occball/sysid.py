@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .cartpole import (
     PhysicalParams,
     SensorSpec,
     Trajectory,
+    check_count,
     sample_initial_state,
     save_trajectory,
     simulate,
@@ -96,8 +96,7 @@ def collect_budget(params: PhysicalParams, sensor: SensorSpec, budget: int,
     tiers only) sensor substreams, so the runs kept do not depend on how many
     are simulated after them.
     """
-    if not (isinstance(budget, numbers.Integral) and budget >= 1):
-        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    check_count("budget", budget, 1)
     config = EpisodeConfig(max_steps=_MAX_EXCITE_STEPS)
     names = ["sysid-init", "sysid-excite"]
     if sensor.sigma > 0.0:

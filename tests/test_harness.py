@@ -329,6 +329,14 @@ class TestRunSweep:
             run_sweep(self._single_cell_spec(), tmp_path / "out", jobs=jobs)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", [2.5, math.nan, 2.0])
+    def test_rejects_non_integer_jobs(self, tmp_path, jobs):
+        # NaN once ran the grid serially without a word, and 2.5 ended in a
+        # TypeError from inside concurrent.futures
+        with pytest.raises(ValueError, match=r"jobs must be an integer >= 1, got"):
+            run_sweep(self._single_cell_spec(), tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
     def test_reproducible_bytes(self, tmp_path):
         spec = self._single_cell_spec()
         run_sweep(spec, tmp_path / "a")

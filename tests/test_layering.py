@@ -207,7 +207,7 @@ print(json.dumps({
     "futures": [futures_after_import, futures_after_train],
     "after_work": after_work,
     "linalg_after_zeros": "scipy.linalg" in sys.modules,
-    "episodes": [len(ev.episodes), result.episodes_run],
+    "episodes": [len(ev.episodes), len(result.curve)],
     "train_steps": result.curve[-1][2],
     "model_orders": [m.n for m in models],
     "angle_deg": angle.angle_deg,

@@ -189,5 +189,5 @@ def test_training_episode_seeds_a_sensor_stream_only_when_noisy(monkeypatch, tie
     config = SacConfig(history_len=4, hidden_widths=(8, 8), batch_size=8, warmup_steps=10**6)
     result = train(PARAMS, sensor, config, max_episodes=3)
     named = [args[1] for args, _ in streams]
-    assert named.count(cartpole.SENSOR_STREAM) == per_episode * result.episodes_run
-    assert named.count("init") == result.episodes_run
+    assert named.count(cartpole.SENSOR_STREAM) == per_episode * len(result.curve)
+    assert named.count("init") == len(result.curve)

@@ -437,7 +437,76 @@ class TestSacUpdate:
         assert out.stdout.split() == ["1"]
 
 
+class EpisodeListBuffer:
+    """The replay buffer as it once was: a list of per-episode dicts, evicted
+    with pop(0), and a flat copy with per-transition index arrays rebuilt on
+    the first sample after each add.  The reference for byte equality."""
+
+    def __init__(self, capacity, history_len):
+        self.capacity, self.H = capacity, history_len
+        self.episodes, self.size, self.flat = [], 0, None
+
+    def add_episode(self, obs, actions, rewards, terminal):
+        T = len(actions)
+        done = np.zeros(T, dtype=np.float32)
+        if terminal:
+            done[-1] = 1.0
+        self.episodes.append({"obs": np.asarray(obs, dtype=np.float32),
+                              "a": np.asarray(actions, dtype=np.float32),
+                              "r": np.asarray(rewards, dtype=np.float32), "d": done})
+        self.size += T
+        while self.size > self.capacity and len(self.episodes) > 1:
+            self.size -= len(self.episodes.pop(0)["a"])
+        self.flat = None
+
+    def sample(self, batch_size, rng):
+        if self.flat is None:
+            offsets = np.cumsum([0] + [len(ep["obs"]) for ep in self.episodes])[:-1]
+            lengths = [len(ep["a"]) for ep in self.episodes]
+            self.flat = {
+                "obs": np.concatenate([ep["obs"] for ep in self.episodes]),
+                "pos": np.concatenate([off + np.arange(T) for off, T in zip(offsets, lengths)]),
+                "start": np.concatenate([np.full(T, off) for off, T in zip(offsets, lengths)]),
+                **{key: np.concatenate([ep[key] for ep in self.episodes]) for key in "ard"},
+            }
+        f = self.flat
+        k = rng.integers(0, self.size, size=batch_size)
+        pos, start = f["pos"][k], f["start"][k]
+        window = f["obs"][np.maximum(pos[:, None] + np.arange(-self.H + 1, 2), start[:, None])]
+        return {"s": window[:, :-1], "a": f["a"][k], "r": f["r"][k], "s2": window[:, 1:],
+                "d": f["d"][k]}
+
+
 class TestReplayBuffer:
+    def test_matches_per_episode_buffer(self):
+        # random add/sample sequences give the same sizes and batch bytes as
+        # the per-episode buffer, through every kind of eviction
+        seen = set()
+        for trial in range(100):
+            rng = substream(21, "replay-reference", trial)
+            capacity, H = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            buf, ref = ReplayBuffer(capacity, H), EpisodeListBuffer(capacity, H)
+            for _ in range(40):
+                if ref.size and rng.random() < 0.4:
+                    batch_size, seed = int(rng.integers(1, 20)), int(rng.integers(2**32))
+                    got = buf.sample(batch_size, np.random.default_rng(seed))
+                    want = ref.sample(batch_size, np.random.default_rng(seed))
+                    for key in want:
+                        assert got[key].dtype == want[key].dtype
+                        assert got[key].shape == want[key].shape
+                        assert got[key].tobytes() == want[key].tobytes()
+                    continue
+                T = int(rng.choice([1, rng.integers(1, 12), capacity + rng.integers(1, 5)]))
+                episodes_before = len(ref.episodes)
+                args = (rng.normal(0, 1, T + 1), rng.uniform(-10, 10, T),
+                        rng.integers(0, 2, T).astype(float), bool(rng.integers(2)))
+                buf.add_episode(*args)
+                ref.add_episode(*args)
+                assert buf.size == ref.size
+                seen.add("one step" if T == 1 else "longer than capacity" if T > capacity
+                         else "evicts several" if len(ref.episodes) < episodes_before else "")
+        assert {"one step", "longer than capacity", "evicts several"} <= seen
+
     def test_episode_bookkeeping(self):
         buf = ReplayBuffer(capacity=100, history_len=3)
         buf.add_episode(np.arange(6.0), np.ones(5), np.ones(5), True)
@@ -449,10 +518,10 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=10, history_len=2)
         for k in range(5):
             buf.add_episode(np.full(5, float(k)), np.ones(4), np.ones(4), False)
-        assert buf.size <= 10 or len(buf._episodes) == 1
-        # oldest episodes (constant 0/1 observations) evicted
-        remaining = {ep["obs"][0] for ep in buf._episodes}
-        assert 0.0 not in remaining
+        # only the two newest episodes (constant 3/4 observations) still fit
+        assert buf.size == 8
+        batch = buf.sample(200, substream(16, "evict"))
+        assert set(np.unique(batch["s2"]).tolist()) == {3.0, 4.0}
 
     def test_windows_and_done_flags(self):
         buf = ReplayBuffer(capacity=100, history_len=3)
@@ -477,17 +546,24 @@ class TestReplayBuffer:
         H = 4
         buf = ReplayBuffer(capacity=1000, history_len=H)
         rng = substream(16, "window")
+        lengths = (1, 2, 9, 15)
+        obs = [rng.normal(0, 1, T + 1) for T in lengths]
         k0 = 0
-        for T in (1, 2, 9, 15):
-            buf.add_episode(rng.normal(0, 1, T + 1), k0 + np.arange(T), np.ones(T), False)
+        for T, o in zip(lengths, obs):
+            buf.add_episode(o, k0 + np.arange(T), np.ones(T), False)
             k0 += T
         batch = buf.sample(2000, substream(16, "window-batch"))
-        f = buf._flat
+        # transition k's observation index in the concatenated episodes, and
+        # the index of its episode's first observation
+        offsets = np.cumsum((0,) + tuple(T + 1 for T in lengths))[:-1]
+        pos_of = np.concatenate([off + np.arange(T) for off, T in zip(offsets, lengths)])
+        start_of = np.repeat(offsets, lengths)
+        all_obs = np.concatenate(obs).astype(np.float32)
         k = batch["a"].astype(int)
-        pos, start = f["pos"][k], f["start"][k]
+        pos, start = pos_of[k], start_of[k]
         lags = np.arange(-H + 1, 1)
-        s = f["obs"][np.maximum(pos[:, None] + lags, start[:, None])]
-        s2 = f["obs"][np.maximum(pos[:, None] + 1 + lags, start[:, None])]
+        s = all_obs[np.maximum(pos[:, None] + lags, start[:, None])]
+        s2 = all_obs[np.maximum(pos[:, None] + 1 + lags, start[:, None])]
         assert np.array_equal(batch["s"], s)
         assert np.array_equal(batch["s2"], s2)
         steps = set((pos - start).tolist())
@@ -657,13 +733,13 @@ class TestLearnability:
         rng_env = substream(1, "env")
         rng_upd = substream(2, "upd")
         lengths = []
-        for _ in range(400):
+        for episode in range(400):
             obs = [0.0]
             window = np.zeros(2, dtype=np.float32)
             acts, rews = [], []
             died = False
             for t in range(20):
-                if len(buf._episodes) < 8:
+                if episode < 8:
                     a = float(rng_env.uniform(-3, 3))
                 else:
                     a = agent.act(window, rng=rng_env)
