@@ -33,6 +33,7 @@ __all__ = [
     "SENSOR_TIERS",
     "SENSOR_STREAM",
     "check_count",
+    "check_fields",
     "make_sensor",
     "step",
     "linearize",
@@ -60,7 +61,7 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_fields(obj, positive=(), nonnegative=()):
+def check_fields(obj, positive=(), nonnegative=()):
     """Raise a ValueError naming the first field that is not finite or is out of range."""
     for name in positive + nonnegative:
         value = getattr(obj, name)
@@ -81,7 +82,7 @@ class PhysicalParams:
     ell0: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self, positive=("M", "m", "ell", "g", "tau"))
+        check_fields(self, positive=("M", "m", "ell", "g", "tau"))
         if not (0 < self.ell0 <= self.ell):
             raise ValueError("fixation point must satisfy 0 < ell0 <= ell")
 
@@ -108,8 +109,8 @@ class EpisodeConfig:
 
     def __post_init__(self):
         check_count("max_steps", self.max_steps, 1)
-        _check_fields(self, positive=("h_limit", "theta_limit_deg"),
-                      nonnegative=("init_halfwidth",))
+        check_fields(self, positive=("h_limit", "theta_limit_deg"),
+                     nonnegative=("init_halfwidth",))
 
     @property
     def theta_limit(self) -> float:
@@ -125,7 +126,7 @@ class SensorSpec:
     z_range: float = 0.0
 
     def __post_init__(self):
-        _check_fields(self, nonnegative=("noise_frac", "z_range"))
+        check_fields(self, nonnegative=("noise_frac", "z_range"))
 
     @property
     def sigma(self) -> float:

@@ -84,8 +84,7 @@ def _compile_step(model: StateSpaceModel):
     body = _chain("u", [*model.C[0], model.D[0, 0]], terms)
     for i, x in enumerate(xs):
         body += _chain(f"{x}_", [*model.A[i], model.B[i, 0]], terms)
-    if xs:
-        body.insert(0, f"{', '.join(xs)}, = x")
+    body.insert(0, f"{', '.join(xs)}, = x")
     state = "".join(f"{x}_, " for x in xs)
     source = "def step(x, y):\n" + "".join(f"    {line}\n" for line in body)
     source += f"    return u, ({state})\n"

@@ -153,13 +153,6 @@ def evaluate(
     )
 
 
-def _survives_from_angle(controller, params, sensor, theta_deg, config, probe_seed) -> bool:
-    cfg = replace(config, seed=probe_seed)
-    init = SimState(theta=math.radians(theta_deg))
-    result, _ = run_episode(params, cfg, controller, sensor, init_state=init)
-    return result.success
-
-
 # max_stabilized_angle halves its interval until it is this narrow
 _ANGLE_TOL_DEG = 0.01
 
@@ -177,24 +170,28 @@ def max_stabilized_angle(
     probes above the returned angle guard against non-monotone stabilization
     basins: if any of them survives, the monotonic flag comes back False.
     """
-    config = EpisodeConfig()
-    if not _survives_from_angle(controller, params, sensor, 0.0, config, probe_seed):
+    config = EpisodeConfig(seed=probe_seed)
+
+    def survives(theta_deg):
+        init = SimState(theta=math.radians(theta_deg))
+        return run_episode(params, config, controller, sensor, init_state=init)[0].success
+
+    if not survives(0.0):
         return AngleResult(0.0, True)
     hi_limit = config.theta_limit_deg
-    if _survives_from_angle(controller, params, sensor, hi_limit, config, probe_seed):
+    if survives(hi_limit):
         return AngleResult(hi_limit, True)
     lo, hi = 0.0, hi_limit
     while hi - lo > _ANGLE_TOL_DEG:
         mid = 0.5 * (lo + hi)
-        if _survives_from_angle(controller, params, sensor, mid, config, probe_seed):
+        if survives(mid):
             lo = mid
         else:
             hi = mid
     monotonic = True
     for delta in (0.5, 1.0, 2.0):
         angle = lo + delta
-        if angle < hi_limit and _survives_from_angle(controller, params, sensor, angle,
-                                                     config, probe_seed):
+        if angle < hi_limit and survives(angle):
             monotonic = False
     return AngleResult(float(lo), monotonic)
 

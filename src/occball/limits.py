@@ -108,7 +108,7 @@ def hinf_norm(model: StateSpaceModel) -> float:
     A lower bound on the norm that, times (1 + 2e-9), has no level crossing.
     Raises for unstable models, whose norm is not defined.
     """
-    if model.n > 0 and spectral_radius(model.A) >= 1.0:
+    if spectral_radius(model.A) >= 1.0:
         raise ValueError("model is not stable; the H-infinity norm is unbounded")
     return linf_norm(model.A, model.B, model.C, model.D)
 

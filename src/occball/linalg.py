@@ -44,22 +44,12 @@ class DareInfeasibleError(RuntimeError):
     """No stabilizing Riccati solution was found within the iteration cap."""
 
 
-def _matrix(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(-1, 1)
-    elif a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    return a
-
-
 @dataclass(frozen=True)
 class StateSpaceModel:
     """SISO discrete LTI model x+ = A x + B u, y = C x + D u with step size dt.
 
-    A is n x n, B n x 1, C 1 x n and D 1 x 1; n = 0 is a static gain.
+    A is n x n, B n x 1, C 1 x n and D 1 x 1 with n >= 1; a static gain d is
+    the one-state model A = B = C = 0, D = d.
     """
 
     A: np.ndarray
@@ -71,9 +61,9 @@ class StateSpaceModel:
     def __post_init__(self):
         A, B, C, D = (np.array(m, dtype=float) for m in (self.A, self.B, self.C, self.D))
         n = A.shape[0] if A.ndim else 0
-        if (A.shape, B.shape, C.shape, D.shape) != ((n, n), (n, 1), (1, n), (1, 1)):
+        if n < 1 or (A.shape, B.shape, C.shape, D.shape) != ((n, n), (n, 1), (1, n), (1, 1)):
             raise ValueError(
-                "a SISO model needs A n x n, B n x 1, C 1 x n and D 1 x 1, got "
+                "a SISO model needs A n x n, B n x 1, C 1 x n and D 1 x 1 with n >= 1, got "
                 f"A {A.shape}, B {B.shape}, C {C.shape} and D {D.shape}"
             )
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
@@ -88,11 +78,6 @@ class StateSpaceModel:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @classmethod
-    def static_gain(cls, d: float, dt: float = 1.0) -> "StateSpaceModel":
-        """A memoryless model y = d * u (no states)."""
-        return cls(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[d]], dt)
-
     def to_dict(self) -> dict:
         return {
             "A": self.A.tolist(),
@@ -104,10 +89,7 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpaceModel":
-        # with no states, A and B are written as [], which loses their shape
-        n = len(d["A"])
-        return cls(np.reshape(d["A"], (n, n)), np.reshape(d["B"], (n, 1)), d["C"], d["D"],
-                   float(d["dt"]))
+        return cls(d["A"], d["B"], d["C"], d["D"], float(d["dt"]))
 
 
 def strictly_unstable(values) -> list:
@@ -122,8 +104,6 @@ def tf_eval(model: StateSpaceModel, zeta: complex) -> np.ndarray:
     from an eigenvalue of A (condition number above ~1e13).
     """
     zeta = complex(zeta)
-    if model.n == 0:
-        return model.D.astype(complex)
     M = zeta * np.eye(model.n) - model.A
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e13:
@@ -136,8 +116,6 @@ def tf_eval(model: StateSpaceModel, zeta: complex) -> np.ndarray:
 
 def poles(model: StateSpaceModel) -> list:
     """Eigenvalues of A, sorted by (real, imag) for reproducibility."""
-    if model.n == 0:
-        return []
     w = np.linalg.eigvals(model.A)
     return sorted((complex(v) for v in w), key=lambda v: (v.real, v.imag))
 
@@ -172,8 +150,6 @@ def transmission_zeros(model: StateSpaceModel) -> list:
     zeros at infinity and are dropped.
     """
     n = model.n
-    if n == 0:
-        return []
     M = np.zeros((n + 1, n + 1), order="F")
     M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = model.A, model.B, model.C, model.D
     N = np.zeros_like(M)
@@ -204,10 +180,7 @@ def least_squares(Phi, Y) -> np.ndarray:
     return np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)[0]
 
 
-def spectral_radius(A) -> float:
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
+def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
@@ -267,13 +240,13 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
     Solved by the structured doubling iteration (quadratically convergent,
     capped at 100 doublings).  The result is certified by its residual:
     anything above 1e-8 * (1 + ||P||_F) raises DareInfeasibleError, which is
-    also the signal for non-stabilizable input pairs.
+    also the signal for non-stabilizable input pairs.  A, B, Q and R must be
+    matrices: a non-2-D or non-finite one raises a ValueError naming it.
     """
-    A = _matrix(A)
-    B = _matrix(B)
-    Q = _matrix(Q)
-    R = _matrix(R)
-    for name, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
+    A, B, Q, R = mats = [np.asarray(M, dtype=float) for M in (A, B, Q, R)]
+    for name, M in zip("ABQR", mats):
+        if M.ndim != 2:
+            raise ValueError(f"{name} must be a matrix, got ndim={M.ndim}")
         if not np.isfinite(M).all():
             raise ValueError(f"{name} contains non-finite entries")
     n = A.shape[0]

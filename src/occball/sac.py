@@ -13,8 +13,9 @@ thread pool runs the policy branch; the optimizer steps are then split the
 same way.  Each branch does the array operations of a serial update, in the
 same order, and every BLAS call stays on one thread, so training is bit for
 bit the same as a serial run and fully determined by the seed.  The last
-task sent to the pool is held until the next one, so the arrays it reaches
-stay allocated between updates instead of being trimmed and faulted in again.
+task sent to the pool is held until the next one or the end of train, so the
+arrays it reaches stay allocated between updates instead of being trimmed and
+faulted in again.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .cartpole import (
     PhysicalParams,
     SensorSpec,
     check_count,
+    check_fields,
     episode_start,
     simulate,
 )
@@ -82,10 +84,7 @@ class SacConfig:
             raise ValueError("tau_target must lie in (0, 1]")
         if not 0 < self.gamma_discount < 1:
             raise ValueError("gamma_discount must lie in (0, 1)")
-        for name in ("alpha", "learning_rate", "action_limit"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        check_fields(self, positive=("alpha", "learning_rate", "action_limit"))
 
 
 # entropy temperature per sensor tier
@@ -353,7 +352,7 @@ def _in_parallel(main, side):
     if pid != os.getpid():
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="occball-sac-helper")
         _pool = (os.getpid(), pool)
-    _held = side  # until the next call, so the allocator keeps its arrays' pages mapped
+    _held = side  # keeps its arrays' pages mapped until the next call or the end of train
     future = pool.submit(side)
     try:
         result = main()
@@ -501,6 +500,7 @@ def train(
     cold-start window, and the random-action warmup phase would otherwise
     plant an unbeatable early reference.
     """
+    global _held
     check_count("max_episodes", max_episodes, 1)
     env_config = env_config or EpisodeConfig()
     actor = _TrainingActor(SacAgent(config))
@@ -540,6 +540,7 @@ def train(
         if episode >= _PLATEAU_FLOOR and episode - best_mean_episode >= plateau_window:
             stop_reason = "plateau"
             break
+    _held = None  # the hold is for updates within a run; let the finished agent go
     return TrainResult(curve=curve, agent=actor.agent, stop_reason=stop_reason)
 
 

@@ -92,8 +92,6 @@ class SynthesizedController:
 
 def build_generalized_plant(model: StateSpaceModel, epsilon: float) -> GeneralizedPlant:
     """Augment an identified SISO model with disturbance and cost channels."""
-    if model.n < 1:
-        raise ValueError("the model must have at least one state")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     n = model.n
@@ -230,21 +228,16 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
     are checked through ordinary DARE feasibility before any level is tried;
     failures come back as feasible=False with the failing condition named.
     """
-    n = plant.n
-    try:
-        solve_dare(plant.A, plant.B2, np.eye(n), np.eye(1))
-    except DareInfeasibleError:
-        return SynthesizedController(
-            None, math.inf, plant.epsilon, False,
-            reason="(A, B2) is not stabilizable",
-        )
-    try:
-        solve_dare(plant.A.T, plant.C2.T, np.eye(n), np.eye(1))
-    except DareInfeasibleError:
-        return SynthesizedController(
-            None, math.inf, plant.epsilon, False,
-            reason="(C2, A) is not detectable",
-        )
+
+    def infeasible(reason):
+        return SynthesizedController(None, math.inf, plant.epsilon, False, reason=reason)
+
+    for A, B, reason in ((plant.A, plant.B2, "(A, B2) is not stabilizable"),
+                         (plant.A.T, plant.C2.T, "(C2, A) is not detectable")):
+        try:
+            solve_dare(A, B, np.eye(plant.n), np.eye(1))
+        except DareInfeasibleError:
+            return infeasible(reason)
 
     def attempt(gamma):
         try:
@@ -254,10 +247,7 @@ def hinf_synthesize(plant: GeneralizedPlant) -> SynthesizedController:
 
     top = attempt(GAMMA_HI)
     if isinstance(top, GameDareInfeasible):
-        return SynthesizedController(
-            None, math.inf, plant.epsilon, False,
-            reason=f"infeasible at gamma={GAMMA_HI:g}: {top}",
-        )
+        return infeasible(f"infeasible at gamma={GAMMA_HI:g}: {top}")
     best_gamma, best = GAMMA_HI, top
 
     bottom = attempt(GAMMA_LO)

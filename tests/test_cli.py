@@ -239,6 +239,9 @@ class TestSweep:
      "--order-p"),
     (["sysid", "--budget", "500", "--order-p", "3", "--order-n", "4", "--out", "m.json"],
      "--order-n"),
+    # a controller must have a state
+    (["eval", "--controller", "{static}", "--episodes", "1"], "--controller"),
+    (["simulate", "--controller", "{static}", "--out-dir", "sim"], "--controller"),
 ])
 def test_out_of_range_count_rejected(runner, args, option):
     files = {

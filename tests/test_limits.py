@@ -16,7 +16,8 @@ from occball.rngtools import substream
 
 
 def static(v):
-    return StateSpaceModel.static_gain(v)
+    """The gain v as a one-state model, the least state a model has."""
+    return StateSpaceModel([[0.0]], [[0.0]], [[0.0]], [[v]])
 
 
 def sigma_max(A, B, C, D, omegas):

@@ -46,16 +46,26 @@ class TestStateSpaceModel:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             StateSpaceModel.from_dict(json.loads(json.dumps({**d, "dt": dt})))
 
-    def test_static_gain_roundtrip(self):
-        m = StateSpaceModel.static_gain(5.0)
-        assert m.n == 0 and (m.B.shape, m.C.shape, m.D.shape) == ((0, 1), (1, 0), (1, 1))
-        m2 = StateSpaceModel.from_dict(m.to_dict())
-        assert float(m2.D[0, 0]) == 5.0
+    def test_zero_state_model_rejected(self):
+        # a static gain d is the one-state model A = B = C = 0, D = d
+        with pytest.raises(ValueError, match="with n >= 1"):
+            StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[5.0]])
+        with pytest.raises(ValueError, match="with n >= 1"):
+            StateSpaceModel.from_dict({"A": [], "B": [], "C": [[]], "D": [[5.0]], "dt": 0.02})
+
+    def test_from_dict_keeps_saved_shapes(self):
+        m = StateSpaceModel([[0.5, 0.1], [0.0, 0.2]], [[1.0], [2.0]], [[1.0, 0.0]], [[0.0]], 0.02)
+        d = json.loads(json.dumps(m.to_dict()))
+        m2 = StateSpaceModel.from_dict(d)
+        assert all(np.array_equal(getattr(m, k), getattr(m2, k)) for k in "ABCD")
+        # a flat B list is not a column
+        with pytest.raises(ValueError, match="B \\(2,\\)"):
+            StateSpaceModel.from_dict({**d, "B": [1.0, 2.0]})
 
 
 class TestTfEval:
     def test_pure_feedthrough(self):
-        m = StateSpaceModel.static_gain(5.0)
+        m = StateSpaceModel([[0.0]], [[0.0]], [[0.0]], [[5.0]])
         assert tf_eval(m, 0.3 + 1j)[0, 0] == 5.0
 
     def test_scalar_geometric(self):
@@ -205,6 +215,14 @@ class TestSolveDare:
         with pytest.raises(ValueError):
             solve_dare([[0.5]], [[1.0]], [[1.0]], [[-1.0]])
 
+    @pytest.mark.parametrize("name", "ABQR")
+    @pytest.mark.parametrize("bad", [2.0, [1.0]])
+    def test_non_matrix_input_named(self, name, bad):
+        mats = {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], name: bad}
+        ndim = np.ndim(bad)
+        with pytest.raises(ValueError, match=f"^{name} must be a matrix, got ndim={ndim}$"):
+            solve_dare(**mats)
+
     @pytest.mark.parametrize("name, bad", [("A", math.nan), ("B", math.inf),
                                            ("Q", math.inf), ("R", math.nan)])
     def test_nonfinite_input_named(self, name, bad):
@@ -287,8 +305,3 @@ class TestStrictlyUnstable:
         assert len(strictly_unstable(ps)) == 1
         assert sum(abs(abs(p) - 1.0) <= UNIT_CIRCLE_TOL for p in ps) == 2
         assert len(strictly_unstable(transmission_zeros(model))) == 1
-
-
-class TestCombinators:
-    def test_spectral_radius_empty(self):
-        assert spectral_radius(np.zeros((0, 0))) == 0.0

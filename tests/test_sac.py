@@ -1,10 +1,12 @@
 import copy
+import gc
 import hashlib
 import math
 import multiprocessing
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -707,6 +709,18 @@ class TestTraining:
         assert h.hexdigest() == (
             "1e1b278ab2499bea77bbd31f88d55dc49ef53fc0a1e99cf94e254c3af26472dc"
         )
+
+    def test_finished_run_lets_agent_go(self):
+        # the task held for the next update reaches the agent; train drops it on return
+        params = PhysicalParams()
+        res = train(params, make_sensor("noise_free", params), TINY, max_episodes=4,
+                    env_config=EpisodeConfig(max_steps=300))
+        assert res.curve[-1][2] > TINY.warmup_steps + TINY.batch_size  # updates ran
+        assert sacmod._held is None
+        agent = weakref.ref(res.agent)
+        del res
+        gc.collect()
+        assert agent() is None
 
     def test_policy_controller_window(self):
         rng = substream(18, "pc")
