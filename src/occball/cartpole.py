@@ -56,8 +56,8 @@ SENSOR_STREAM = "sensor"
 
 
 def check_count(name: str, value, low: int) -> None:
-    """Raise a ValueError naming value unless it is an integer >= low."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
+    """Raise a ValueError naming value unless it is an integer >= low (a bool is not)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

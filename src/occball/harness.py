@@ -101,8 +101,8 @@ class ExperimentSpec:
             make_sensor(t, PhysicalParams())
         if not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not all(isinstance(b, numbers.Integral) and b >= 1 for b in self.budgets):
-            raise ValueError(f"budgets must be integers >= 1, got {self.budgets}")
+        for budget in self.budgets:
+            check_count("budgets", budget, 1)
         # a repeated entry is the same seeded cell again, counted twice in the medians
         for name in ("fixations", "sensor_tiers", "budgets"):
             values = getattr(self, name)

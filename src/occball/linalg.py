@@ -1,12 +1,13 @@
 """Discrete-time state-space models and the shared numerical kernels.
 
 All routines are pure functions on immutable inputs: models are small dense
-numpy matrices, nothing here keeps global state, and everything is safe to
-call concurrently.
+numpy matrices, the one state kept is the LAPACK binding pencil_eigvals makes
+on first use, and everything is safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,23 +121,75 @@ def poles(model: StateSpaceModel) -> list:
     return sorted((complex(v) for v in w), key=lambda v: (v.real, v.imag))
 
 
+@functools.cache
+def _lapack_dggev():
+    """LAPACK's dggev in the OpenBLAS numpy loaded, bound through ctypes, or None.
+
+    numpy's ILP64 OpenBLAS wheels export it as scipy_dggev_64_, every integer
+    argument an int64.  The first call binds it and later calls return the
+    same function; a numpy whose library lacks that symbol gets None.
+    """
+    import ctypes
+
+    try:
+        dggev = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dggev_64_
+    except (AttributeError, OSError):
+        return None
+    # the 17 Fortran arguments, each by address, then the hidden lengths of JOBVL and JOBVR
+    dggev.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 15 + [ctypes.c_size_t] * 2
+    dggev.restype = None
+    return dggev
+
+
+def _ggev_numpy(dggev, M, N):
+    """(alphar, alphai, beta, info) of dggev called through numpy's LAPACK."""
+    k = M.shape[0]
+    # the int64 arguments n, 1, lwork and info, passed by address like every Fortran argument
+    ints = np.array([k, 1, -1, 0], dtype=np.int64)
+    n, one, lwork, info = range(ints.ctypes.data, ints.ctypes.data + 32, 8)
+    vals = np.empty((3, k))
+    alphar, alphai, beta = range(vals.ctypes.data, vals.ctypes.data + 24 * k, 8 * k)
+    a, b = M.ctypes.data, N.ctypes.data
+    # scipy.linalg.eig's workspace query, which asks for eigenvectors, then the
+    # values-only run with that workspace; neither references VL or VR, so both are NULL
+    work = np.zeros(1)
+    dggev(b"V", b"V", n, a, n, b, n, alphar, alphai, beta, None, n, None, n,
+          work.ctypes.data, lwork, info, 1, 1)
+    ints[2] = int(work[0])
+    work = np.empty(ints[2])
+    dggev(b"N", b"N", n, a, n, b, n, alphar, alphai, beta, None, one, None, one,
+          work.ctypes.data, lwork, info, 1, 1)
+    return vals[0], vals[1], vals[2], int(ints[3])
+
+
 def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Homogeneous generalized eigenvalues (alpha, beta) of the pencil M - lambda N.
 
-    Returns a (2, k) array, rows alpha and beta, by one QZ run (LAPACK's
-    dggev, with the workspace scipy.linalg.eig queries and the values it
-    returns).  M and N may be overwritten.  This is occball's only use of
-    scipy: scipy.linalg is imported on the first call, so processes that
-    never solve a pencil (simulation, identification, SAC) never load it.
+    Returns a (2, k) array, rows alpha and beta, by one QZ run: LAPACK's
+    dggev, with the workspace scipy.linalg.eig queries, and the values it
+    returns.  M and N are used as Fortran-ordered float64 and may be
+    overwritten (a writeable one of that layout is, others are copied).  They
+    must be finite k x k matrices of one shape with k >= 1, else a ValueError.
+    dggev is called through ctypes in the LAPACK numpy already loaded; only
+    where that library lacks it does the call import scipy.linalg, so a
+    process that solves pencils on this route never loads scipy.
     """
-    from scipy.linalg import lapack
-
+    M, N = (np.require(X, np.float64, ["F", "A", "W"]) for X in (M, N))
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or N.shape != M.shape or not M.size:
+        raise ValueError(
+            f"a pencil needs M and N k x k of one shape with k >= 1, "
+            f"got M {M.shape} and N {N.shape}")
     if not (np.isfinite(M).all() and np.isfinite(N).all()):
         raise ValueError("array must not contain infs or NaNs")
-    # a workspace query, which leaves M and N untouched, then the QZ run for the values alone
-    work = lapack.dggev(M, N, lwork=-1, overwrite_a=1, overwrite_b=1)[-2]
-    alphar, alphai, beta, _, _, _, info = lapack.dggev(
-        M, N, compute_vl=0, compute_vr=0, lwork=int(work[0]), overwrite_a=1, overwrite_b=1)
+    dggev = _lapack_dggev()
+    if dggev is not None:
+        alphar, alphai, beta, info = _ggev_numpy(dggev, M, N)
+    else:  # the same two calls through scipy's binding
+        from scipy.linalg import lapack
+
+        work = lapack.dggev(M, N, lwork=-1, overwrite_a=1, overwrite_b=1)[-2]
+        alphar, alphai, beta, _, _, _, info = lapack.dggev(
+            M, N, compute_vl=0, compute_vr=0, lwork=int(work[0]), overwrite_a=1, overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
     return np.vstack((alphar + 1j * alphai, beta))

@@ -54,6 +54,7 @@ class TestParams:
         (EpisodeConfig, "init_halfwidth", math.nan),
         (EpisodeConfig, "max_steps", 2.5),
         (EpisodeConfig, "max_steps", 0),
+        (EpisodeConfig, "max_steps", True),
         (SensorSpec, "noise_frac", math.nan),
         (SensorSpec, "noise_frac", -0.01),
         (SensorSpec, "z_range", math.inf),

@@ -207,6 +207,10 @@ class TestExperimentSpec:
         ("arx_order", 10.5),
         ("model_order", 0),
         ("model_order", 4.0),
+        # JSON's true is a Python bool, which is an int: it must not read as 1
+        ("n_repeats", True),
+        ("budgets", (True,)),
+        ("n_eval_episodes", True),
     ])
     def test_rejects_empty_counts(self, field, value):
         # caught at construction, not after the earlier cells of a sweep ran

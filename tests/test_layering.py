@@ -1,5 +1,6 @@
 """Package layering: occball modules import each other only at module level,
-and only through public names, and only pencil work loads scipy.
+and only through public names, and only a pencil without numpy's dggev
+loads scipy.
 
 An import of an occball module inside a function body hides a dependency
 from the module header and is how import cycles get papered over; this test
@@ -9,10 +10,16 @@ two modules need is public, or lives where both can reach it.  A public name
 another module imports is in its home module's ``__all__``, so that list
 states the whole of what the module offers the package.
 
-scipy.linalg (with what it pulls in) costs about half of a cold start, and
-only the generalized eigenproblems of zeros, norms and synthesis need it.  So
-the one scipy import sits in the body of ``linalg.pencil_eigvals``, and a
-fresh interpreter that simulates, identifies and trains never loads it.
+scipy.linalg (with what it pulls in) costs about half of a cold start and
+about 24 MiB, and the generalized eigenproblems of zeros, norms and synthesis
+need only its LAPACK dggev, which numpy's own LAPACK also exports.
+``linalg.pencil_eigvals`` calls that one through ctypes, bound on first use
+in ``linalg._lapack_dggev`` (the package's one ctypes import), and its
+fallback for a numpy without it holds the package's one scipy import.  So a
+fresh interpreter that simulates, identifies and trains neither loads scipy
+nor makes the binding, and one that also finds zeros and synthesizes a
+controller loads no scipy.linalg wherever the binding resolves.  (numpy
+itself imports ctypes, so the binding, not the module, is what work loads.)
 Likewise ``import occball`` does not load numpy.random (about 10 ms); the
 first draw does.
 
@@ -37,6 +44,7 @@ PACKAGE = Path(occball.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
+CTYPES_HOME = ("linalg.py", "_lapack_dggev")
 
 
 def _is_occball_import(node) -> bool:
@@ -83,8 +91,8 @@ def _unexported_imports(tree):
                     yield module, alias.name, node.lineno
 
 
-def _scipy_imports(tree):
-    """(enclosing function name or None, line) of every import of scipy."""
+def _imports_of(tree, package):
+    """(enclosing function name or None, line) of every import of package."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -96,7 +104,7 @@ def _scipy_imports(tree):
                 names = [child.module or ""]
             else:
                 names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 yield func, child.lineno
             yield from visit(child, func)
 
@@ -152,14 +160,22 @@ def test_imported_names_are_exported(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_scipy_imported_only_by_pencil_eigvals(path):
-    found = _scipy_imports(ast.parse(path.read_text()))
+    found = _imports_of(ast.parse(path.read_text()), "scipy")
     stray = [(func, line) for func, line in found if (path.name, func) != SCIPY_HOME]
     assert not stray, f"{path.name}: scipy imported outside pencil_eigvals at {stray}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_ctypes_imported_only_by_the_lapack_binding(path):
+    found = _imports_of(ast.parse(path.read_text()), "ctypes")
+    stray = [(func, line) for func, line in found if (path.name, func) != CTYPES_HOME]
+    assert not stray, f"{path.name}: ctypes imported outside _lapack_dggev at {stray}"
+
+
 def test_pencil_eigvals_holds_the_scipy_import():
-    found = _scipy_imports(ast.parse((PACKAGE / SCIPY_HOME[0]).read_text()))
-    assert [func for func, _ in found] == [SCIPY_HOME[1]]
+    tree = ast.parse((PACKAGE / SCIPY_HOME[0]).read_text())
+    assert [func for func, _ in _imports_of(tree, "scipy")] == [SCIPY_HOME[1]]
+    assert [func for func, _ in _imports_of(tree, "ctypes")] == [CTYPES_HOME[1]]
 
 
 def test_every_dataclass_field_is_read():
@@ -181,7 +197,9 @@ import occball
 from occball import (PhysicalParams, ZeroController, evaluate, linearize,
                      make_sensor, max_stabilized_angle, transmission_zeros)
 from occball.harness import identify
+from occball.linalg import StateSpaceModel, _lapack_dggev
 from occball.sac import SacConfig, train
+from occball.synthesis import build_generalized_plant, hinf_synthesize
 from occball.sysid import collect_budget
 
 def scipy_loaded():
@@ -200,13 +218,18 @@ config = SacConfig(hidden_widths=(16, 16), history_len=20, batch_size=16, warmup
 result = train(params, make_sensor("noise_free", params), config, max_episodes=2)
 futures_after_train = "concurrent.futures" in sys.modules
 after_work = scipy_loaded()
+bound_before_pencils = _lapack_dggev.cache_info().currsize
 zeros = transmission_zeros(linearize(PhysicalParams(ell0=0.8)))
+plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+syn = hinf_synthesize(build_generalized_plant(plant, 100.0))
 print(json.dumps({
     "after_import": after_import,
     "random_after_import": random_after_import,
     "futures": [futures_after_import, futures_after_train],
     "after_work": after_work,
+    "bound": [bound_before_pencils, _lapack_dggev() is not None],
     "linalg_after_zeros": "scipy.linalg" in sys.modules,
+    "synthesized": syn.feasible,
     "episodes": [len(ev.episodes), len(result.curve)],
     "train_steps": result.curve[-1][2],
     "model_orders": [m.n for m in models],
@@ -232,7 +255,10 @@ def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
     # the update's thread pool loads concurrent.futures (and logging) on first use
     assert out["futures"] == [False, True]
     assert 0.0 <= out["angle_deg"] < 15.0
-    assert out["linalg_after_zeros"]
+    # no work before the first pencil makes the binding; with it, no pencil needs scipy
+    before, bound = out["bound"]
+    assert before == 0 and out["synthesized"]
+    assert out["linalg_after_zeros"] == (not bound)
     params = PhysicalParams(ell0=0.8)
     rate = params.tau * (params.g / (params.ell - params.ell0)) ** 0.5
     got = sorted(re for re, _ in out["zeros"])

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from occball import linalg
 from occball.cartpole import PhysicalParams, linearize
 from occball.linalg import (
     DareInfeasibleError,
@@ -282,15 +284,65 @@ class TestDoubling:
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9, 17, 21])
-def test_pencil_eigvals_match_scipy_eig_bytes(k):
+def test_pencil_eigvals_match_scipy_eig_bytes(k, monkeypatch):
     rng = substream(k, "pencil")
     M = rng.standard_normal((k, k))
     N = rng.standard_normal((k, k))
     N[k // 2:] = 0.0  # infinite eigenvalues, as in the norm and zero pencils
     ref = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
-    for order in ("C", "F"):
-        got = pencil_eigvals(np.array(M, order=order), np.array(N, order=order))
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    # numpy's LAPACK through ctypes, then scipy's binding with the ctypes one taken away
+    for route in ("ctypes", "scipy"):
+        if route == "scipy":
+            monkeypatch.setattr(linalg, "_lapack_dggev", lambda: None)
+        for order in ("C", "F"):
+            got = pencil_eigvals(np.array(M, order=order), np.array(N, order=order))
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (route, order)
+
+
+def test_pencil_eigvals_binds_numpys_lapack():
+    # numpy's OpenBLAS wheels (ILP64 since numpy 2.0) export dggev as scipy_dggev_64_;
+    # on such a numpy the pencil must not fall back to scipy unnoticed
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
+            "openblas configuration", ""):
+        pytest.skip(f"numpy's LAPACK is not an ILP64 scipy-openblas: {lapack}")
+    assert linalg._lapack_dggev() is not None
+    assert linalg._lapack_dggev() is linalg._lapack_dggev()  # bound once
+
+
+class TestPencilEigvalsInputs:
+    @pytest.mark.parametrize("M, N", [
+        (np.zeros(3), np.zeros(3)),                # not 2-D
+        (np.zeros((2, 3)), np.zeros((2, 3))),      # not square
+        (np.eye(2), np.eye(3)),                    # shapes differ
+        (np.zeros((0, 0)), np.zeros((0, 0))),      # empty
+    ], ids=["1-D", "non-square", "mismatched", "empty"])
+    def test_rejects_shapes_by_name(self, M, N):
+        with pytest.raises(ValueError, match=re.escape(f"got M {M.shape} and N {N.shape}")):
+            pencil_eigvals(M, N)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        N = np.eye(2)
+        N[1, 0] = bad
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            pencil_eigvals(np.eye(2), N)
+
+    def test_overwrites_only_writeable_fortran_float64(self):
+        rng = substream(0, "pencil-inputs")
+        M, N = rng.standard_normal((2, 4, 4))
+        ref = pencil_eigvals(M.copy(), N.copy())
+        frozen = [np.asfortranarray(X) for X in (M, N)]
+        for X in frozen:
+            X.flags.writeable = False
+        # C-ordered, read-only and list inputs are copied and left as they were
+        for args in ((M, N), frozen, (M.tolist(), N.tolist())):
+            assert pencil_eigvals(*args).tobytes() == ref.tobytes()
+        assert all(np.array_equal(X, Y) for X, Y in zip((M, N), frozen))
+        # a writeable Fortran-ordered float64 pair is the workspace QZ runs in
+        work = [np.asfortranarray(X) for X in (M, N)]
+        assert pencil_eigvals(*work).tobytes() == ref.tobytes()
+        assert not np.array_equal(work[0], M)
 
 
 class TestStrictlyUnstable:
