@@ -99,7 +99,8 @@ class ExperimentSpec:
                 raise ValueError("fixations must lie in (0, ell]")
         for t in self.sensor_tiers:
             make_sensor(t, PhysicalParams())
-        if not isinstance(self.seed, numbers.Integral):
+        # any integer is a seed, but a bool (json's true) is not one
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for budget in self.budgets:
             check_count("budgets", budget, 1)

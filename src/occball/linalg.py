@@ -1,8 +1,8 @@
 """Discrete-time state-space models and the shared numerical kernels.
 
-All routines are pure functions on immutable inputs: models are small dense
-numpy matrices, the one state kept is the LAPACK binding pencil_eigvals makes
-on first use, and everything is safe to call concurrently.
+All routines are pure functions: models are small dense numpy matrices, the
+one state kept is the LAPACK bindings pencil_eigvals and least_squares make on
+first use, and everything is safe to call concurrently on distinct inputs.
 """
 
 from __future__ import annotations
@@ -121,24 +121,31 @@ def poles(model: StateSpaceModel) -> list:
     return sorted((complex(v) for v in w), key=lambda v: (v.real, v.imag))
 
 
-@functools.cache
-def _lapack_dggev():
-    """LAPACK's dggev in the OpenBLAS numpy loaded, bound through ctypes, or None.
+# the LAPACK routines _lapack binds: name -> (CHARACTER arguments, all Fortran arguments)
+_LAPACK_ARGS = {"dggev": (2, 17), "dgelsd": (0, 14)}
 
-    numpy's ILP64 OpenBLAS wheels export it as scipy_dggev_64_, every integer
-    argument an int64.  The first call binds it and later calls return the
-    same function; a numpy whose library lacks that symbol gets None.
+
+@functools.cache
+def _lapack(name: str):
+    """LAPACK routine `name` in the OpenBLAS numpy loaded, bound through ctypes, or None.
+
+    numpy's ILP64 OpenBLAS wheels export it as scipy_<name>_64_, every integer
+    argument an int64.  The first call for a name binds it and later calls
+    return the same function; a numpy whose library lacks that symbol gets None.
     """
     import ctypes
 
     try:
-        dggev = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dggev_64_
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_{name}_64_")
     except (AttributeError, OSError):
         return None
-    # the 17 Fortran arguments, each by address, then the hidden lengths of JOBVL and JOBVR
-    dggev.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 15 + [ctypes.c_size_t] * 2
-    dggev.restype = None
-    return dggev
+    # every Fortran argument by address, the CHARACTER ones first (as in both routines),
+    # then the hidden length of each CHARACTER argument
+    chars, args = _LAPACK_ARGS[name]
+    fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * (args - chars)
+                   + [ctypes.c_size_t] * chars)
+    fn.restype = None
+    return fn
 
 
 def _ggev_numpy(dggev, M, N):
@@ -181,7 +188,7 @@ def pencil_eigvals(M: np.ndarray, N: np.ndarray) -> np.ndarray:
             f"got M {M.shape} and N {N.shape}")
     if not (np.isfinite(M).all() and np.isfinite(N).all()):
         raise ValueError("array must not contain infs or NaNs")
-    dggev = _lapack_dggev()
+    dggev = _lapack("dggev")
     if dggev is not None:
         alphar, alphai, beta, info = _ggev_numpy(dggev, M, N)
     else:  # the same two calls through scipy's binding
@@ -216,21 +223,62 @@ def transmission_zeros(model: StateSpaceModel) -> list:
     return sorted(out, key=lambda v: (v.real, v.imag))
 
 
+def _gelsd_numpy(dgelsd, Phi, Y):
+    """(solution rows, info) of dgelsd called through numpy's LAPACK on Phi (m x n, Fortran)."""
+    m, n = Phi.shape
+    nrhs = Y.shape[1]
+    # B holds Y on entry and the n-row solution on exit, so it has max(m, n) rows;
+    # LAPACK cannot take nrhs = 0, so (as numpy does) it gets one zero column then
+    B = np.zeros((max(m, n), max(nrhs, 1)), order="F")
+    B[:m, :nrhs] = Y
+    # the int64 arguments m, n, nrhs, lda, ldb, rank, lwork, info and the iwork size
+    # query, then rcond, the work size query and the singular values, each by address;
+    # reading an array's address costs microseconds, so the scalars share two arrays
+    ints = np.array([m, n, B.shape[1], m, B.shape[0], 0, -1, 0, 0], dtype=np.int64)
+    m_, n_, nrhs_, lda, ldb, rank, lwork, info, liwork = range(
+        ints.ctypes.data, ints.ctypes.data + 72, 8)
+    floats = np.zeros(2 + min(m, n))
+    floats[0] = _LSTSQ_RCOND
+    rcond, query, s = range(floats.ctypes.data, floats.ctypes.data + 24, 8)
+    a, b = Phi.ctypes.data, B.ctypes.data
+    # numpy's lstsq: a workspace query (which also returns the iwork size), then the
+    # solve with work (float64) and iwork (int64) end to end in one buffer
+    dgelsd(m_, n_, nrhs_, a, lda, b, ldb, s, rcond, rank, query, lwork, liwork, info)
+    ints[6] = int(floats[1])
+    work = np.empty(ints[6] + ints[8])
+    w = work.ctypes.data
+    dgelsd(m_, n_, nrhs_, a, lda, b, ldb, s, rcond, rank, w, lwork, w + 8 * int(ints[6]), info)
+    return B[:n, :nrhs], int(ints[7])
+
+
 def least_squares(Phi, Y) -> np.ndarray:
     """Minimum-norm least-squares solution of Phi G = Y.
 
     Uses an SVD with singular values below _LSTSQ_RCOND * sigma_max treated as zero,
-    so rank-deficient regressor matrices get the minimum-norm solution.
+    so rank-deficient regressor matrices get the minimum-norm solution: LAPACK's
+    dgelsd, with the workspace np.linalg.lstsq queries, and the same bytes.  Phi is
+    used as a Fortran-ordered float64 matrix and may be overwritten (a writeable one
+    of that layout is, others are copied); Y (m rows, 1-D or 2-D) is copied.  dgelsd
+    is called through ctypes in the LAPACK numpy already loaded; where that library
+    lacks it, np.linalg.lstsq solves the same problem.
     """
-    Phi = np.asarray(Phi, dtype=float)
+    Phi = np.require(Phi, np.float64, ["F", "A", "W"])
     Y = np.asarray(Y, dtype=float)
     if Phi.ndim != 2:
         raise ValueError("Phi must be a 2-D matrix")
     if Phi.shape[0] < 1 or Phi.shape[1] < 1:
         raise ValueError(f"Phi must be at least 1x1, got {Phi.shape}")
+    if Y.ndim not in (1, 2) or len(Y) != len(Phi):
+        raise ValueError(f"Y must be 1-D or 2-D with {len(Phi)} rows, got {Y.shape}")
     if not np.all(np.isfinite(Phi)) or not np.all(np.isfinite(Y)):
         raise ValueError("least_squares inputs must be finite")
-    return np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)[0]
+    dgelsd = _lapack("dgelsd")
+    if dgelsd is None:
+        return np.linalg.lstsq(Phi, Y, rcond=_LSTSQ_RCOND)[0]
+    G, info = _gelsd_numpy(dgelsd, Phi, Y if Y.ndim == 2 else Y[:, None])
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return G[:, 0].copy() if Y.ndim == 1 else G.copy()
 
 
 def spectral_radius(A: np.ndarray) -> float:

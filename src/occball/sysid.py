@@ -35,6 +35,7 @@ from .linalg import StateSpaceModel, least_squares
 from .rngtools import chunked, substreams
 
 __all__ = [
+    "Dataset",
     "ArxModel",
     "HoKalmanResult",
     "collect_budget",
@@ -84,17 +85,52 @@ class HoKalmanResult:
         return StateSpaceModel(self.A_hat, self.B_hat, self.C_hat, np.zeros((1, 1)), dt)
 
 
-def total_samples(data: list[Trajectory]) -> int:
-    return sum(len(t) for t in data)
+@dataclass(frozen=True)
+class Dataset:
+    """Excitation runs stored end to end: run i is the next lengths[i] rows.
+
+    z and u are float64 of one length N, x_full is N x 4 (or None where no
+    states were logged), and lengths holds one entry >= 1 per run, summing to N.
+    """
+
+    z: np.ndarray
+    u: np.ndarray
+    x_full: np.ndarray | None
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        z, u = (np.asarray(a, dtype=float).ravel() for a in (self.z, self.u))
+        lengths = np.asarray(self.lengths, dtype=np.intp).ravel()
+        if len(u) != len(z) or lengths.sum() != len(z) or (lengths < 1).any():
+            raise ValueError(f"z ({len(z)}) and u ({len(u)}) must have one length, split into "
+                             f"runs of at least one sample by lengths (sum {lengths.sum()})")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "lengths", lengths)
+        if self.x_full is not None:
+            object.__setattr__(self, "x_full", np.ascontiguousarray(
+                self.x_full, dtype=float).reshape(len(z), 4))
+
+    def runs(self):
+        """Each run as a Trajectory of views into the flat arrays, in order."""
+        ends = np.cumsum(self.lengths).tolist()
+        for start, end in zip([0] + ends, ends):
+            x = None if self.x_full is None else self.x_full[start:end]
+            yield Trajectory(z=self.z[start:end], u=self.u[start:end], x_full=x)
+
+
+def total_samples(data: Dataset) -> int:
+    return len(data.z)
 
 
 def collect_budget(params: PhysicalParams, sensor: SensorSpec, budget: int,
-                   seed: int) -> list[Trajectory]:
+                   seed: int) -> Dataset:
     """Simulate excitation runs one at a time until the budget is met; the last is cut to it.
 
     Run i draws from index i of the "sysid-init", "sysid-excite" and (noisy
     tiers only) sensor substreams, so the runs kept do not depend on how many
-    are simulated after them.
+    are simulated after them.  Each run is copied into the flat arrays as it
+    ends, so no run outlives the next one's simulation.
     """
     check_count("budget", budget, 1)
     config = EpisodeConfig(max_steps=_MAX_EXCITE_STEPS)
@@ -102,15 +138,17 @@ def collect_budget(params: PhysicalParams, sensor: SensorSpec, budget: int,
     if sensor.sigma > 0.0:
         names.append("sysid-" + SENSOR_STREAM)
     runs = zip(*(substreams(seed, name) for name in names))
-    data: list[Trajectory] = []
-    left = budget
-    while left > 0:
+    z, u, x_full = np.empty(budget), np.empty(budget), np.empty((budget, 4))
+    lengths = []
+    filled = 0
+    while filled < budget:
         traj = _collect_one(params, sensor, config, *next(runs))
-        if len(traj) > left:
-            traj = Trajectory(z=traj.z[:left], u=traj.u[:left], x_full=traj.x_full[:left])
-        data.append(traj)
-        left -= len(traj)
-    return data
+        k = min(len(traj), budget - filled)
+        rows = slice(filled, filled + k)
+        z[rows], u[rows], x_full[rows] = traj.z[:k], traj.u[:k], traj.x_full[:k]
+        lengths.append(k)
+        filled += k
+    return Dataset(z=z, u=u, x_full=x_full, lengths=lengths)
 
 
 class _Excitation(Controller):
@@ -133,17 +171,15 @@ def _collect_one(params, sensor, config, rng_init, rng_excite, rng_sensor=None):
     return traj
 
 
-def _regression_rows(data: list[Trajectory], p: int):
+def _regression_rows(data: Dataset, p: int):
     """ARX regressors [z(t-1), u(t-1), ..., z(t-p), u(t-p)] and targets z(t), t = p .. T-1."""
-    lengths = np.array([len(t) for t in data], dtype=np.intp)
-    z = np.concatenate([np.zeros(0)] + [t.z for t in data])
-    u = np.concatenate([np.zeros(0)] + [t.u for t in data])
+    z, u, lengths = data.z, data.u, data.lengths
     # every position at least p samples into its run is a target
     within = np.arange(len(z)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     targets = np.flatnonzero(within >= p)
     # each column is gathered straight into a contiguous row of the transpose,
-    # with no (rows, p) index array or per-lag temporaries; lstsq copies its
-    # input into Fortran order anyway, so the layout leaves the fit's bits alone
+    # with no (rows, p) index array or per-lag temporaries; the transpose is
+    # Fortran-ordered, so least_squares solves on it in place
     cols = np.empty((2 * p, len(targets)))
     lagged = targets.copy()
     for k in range(p):
@@ -161,8 +197,8 @@ def check_orders(p: int, n: int, p_name: str = "p", n_name: str = "n") -> None:
         raise ValueError(f"{n_name} must lie in [1, {p_name}] = [1, {p}], got {n}")
 
 
-def fit_arx(data: list[Trajectory], p: int) -> ArxModel:
-    """Least-squares ARX fit of order p over all trajectories."""
+def fit_arx(data: Dataset, p: int) -> ArxModel:
+    """Least-squares ARX fit of order p over all runs."""
     if p < 1:
         raise ValueError("autoregressive order p must be >= 1")
     Phi, y = _regression_rows(data, p)
@@ -196,51 +232,59 @@ def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
     root = np.sqrt(s[:n])
     Obs = U[:, :n] * root
     Ctr = root[:, None] * Vt[:n, :]
-    C_hat = Obs[0:1, :]
+    # a copy: least_squares may overwrite Obs[:-1] (at n = 1 it is Fortran-ordered)
+    C_hat = Obs[0:1, :].copy()
     B_hat = Ctr[:, -2:-1]
     L_hat = Ctr[:, -1:]
     A_tilde = least_squares(Obs[:-1, :], Obs[1:, :])
     return HoKalmanResult(A_hat=A_tilde + L_hat @ C_hat, B_hat=B_hat, C_hat=C_hat)
 
 
-def fit_full_state(data: list[Trajectory], ell0: float, tau: float) -> StateSpaceModel:
+def fit_full_state(data: Dataset, ell0: float, tau: float) -> StateSpaceModel:
     """Regress x(t+1) on (x(t), u(t)) and attach the readout [1, 0, ell0, 0]."""
-    rows, nexts = [np.zeros((0, 5))], [np.zeros((0, 4))]
-    for traj in data:
-        if traj.x_full is None:
-            raise ValueError("full-state fitting needs trajectories with x_full")
-        rows.append(np.column_stack([traj.x_full[:-1], traj.u[:-1]]))
-        nexts.append(traj.x_full[1:])
-    rows, nexts = np.concatenate(rows), np.concatenate(nexts)
+    if data.x_full is None:
+        raise ValueError("full-state fitting needs a dataset with x_full")
     dim = 4 + 1
-    if len(rows) < dim:
-        raise ValueError(f"insufficient data: {len(rows)} transitions, need at least {dim}")
-    Theta = least_squares(rows, nexts)
+    rows = len(data.z) - len(data.lengths)
+    if rows < dim:
+        raise ValueError(f"insufficient data: {rows} transitions, need at least {dim}")
+    # a run's last row has no successor and its first row no predecessor
+    ends = np.cumsum(data.lengths)
+    has_next, has_prev = np.ones(len(data.z), bool), np.ones(len(data.z), bool)
+    has_next[ends - 1] = False
+    has_prev[ends - data.lengths] = False
+    # the regressor [x(t), u(t)] is built Fortran-ordered, so least_squares solves on it in place
+    Phi = np.empty((rows, dim), order="F")
+    for j in range(4):
+        np.compress(has_next, data.x_full[:, j], out=Phi[:, j])
+    np.compress(has_next, data.u, out=Phi[:, 4])
+    Theta = least_squares(Phi, data.x_full[has_prev])
     A = Theta[:4, :].T
     B = Theta[4:, :].T
     C = np.array([[1.0, 0.0, ell0, 0.0]])
     return StateSpaceModel(A, B, C, np.zeros((1, 1)), dt=tau)
 
 
-def dataset_hash(data: list[Trajectory]) -> str:
+def dataset_hash(data: Dataset) -> str:
+    """sha256 over each run's z, u and x_full bytes in turn."""
     h = hashlib.sha256()
-    for traj in data:
-        h.update(traj.z.tobytes())
-        h.update(traj.u.tobytes())
+    for traj in data.runs():
+        h.update(traj.z)
+        h.update(traj.u)
         if traj.x_full is not None:
-            h.update(traj.x_full.tobytes())
+            h.update(traj.x_full)
     return h.hexdigest()
 
 
-def save_dataset(out_dir, data: list[Trajectory], manifest: dict) -> str:
+def save_dataset(out_dir, data: Dataset, manifest: dict) -> str:
     """Write one trajectory CSV per run plus a manifest; returns the dataset hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, traj in enumerate(data):
+    for i, traj in enumerate(data.runs()):
         save_trajectory(out / f"traj_{i:04d}.csv", traj)
     digest = dataset_hash(data)
     manifest = dict(manifest)
-    manifest.update({"n_trajectories": len(data), "total_samples": total_samples(data),
+    manifest.update({"n_trajectories": len(data.lengths), "total_samples": total_samples(data),
                      "dataset_hash": digest})
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -26,7 +26,12 @@ from occball.harness import AngleResult, identify, max_stabilized_angle
 from occball.linalg import poles
 from occball.rngtools import CHUNK, substream
 from occball.synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
-from occball.sysid import collect_budget, dataset_hash
+from occball.sysid import Dataset, collect_budget, dataset_hash
+
+
+def _run_hash(traj):
+    """dataset_hash of the one-run dataset holding traj."""
+    return dataset_hash(Dataset(z=traj.z, u=traj.u, x_full=traj.x_full, lengths=[len(traj)]))
 
 
 class TestParams:
@@ -315,7 +320,7 @@ class TestRunEpisode:
         p = PhysicalParams(ell0=0.7)
         result, traj = run_episode(p, EpisodeConfig(seed=11), Lead(), make_sensor("depth_like", p))
         assert (result.steps, result.cause) == (43, "theta_limit")
-        assert dataset_hash([traj]) == (
+        assert _run_hash(traj) == (
             "99280f67a996b71d08bb98e0139b375edfbdcac4385c92320e7d925e26164d7a"
         )
 
@@ -385,7 +390,7 @@ class TestLtiEpisodePinned:
         result, traj = run_episode(self.PARAMS, EpisodeConfig(seed=13), controller,
                                    make_sensor("rgb_like", self.PARAMS))
         assert (result.steps, result.cause) == (500, "completed")
-        assert dataset_hash([traj]) == (
+        assert _run_hash(traj) == (
             "0ae7d0eb0ab0f1524683d8ca5d237f12b0fafba7dbe6faa2710839557c2a4fe7"
         )
 

@@ -213,6 +213,17 @@ class TestSweep:
         assert "--spec" in result.output and field in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_spec_seed_rejected(self, runner, tmp_path, value):
+        # json's true is a Python bool, an int that the cell seeds would read as 1
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "hinf_fullstate", "seed": value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and "seed must be an integer" in result.output
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args, option", [
     (["eval", "--controller", "{ctrl}", "--episodes", "0"], "--episodes"),

@@ -20,7 +20,7 @@ from occball.harness import (
 from occball.limits import bound_for_model
 from occball.linalg import StateSpaceModel, solve_dare
 from occball.synthesis import build_generalized_plant, hinf_synthesize
-from occball.sysid import collect_budget, dataset_hash
+from occball.sysid import Dataset, collect_budget, dataset_hash
 
 PARAMS = PhysicalParams()
 SENSOR = make_sensor("noise_free", PARAMS)
@@ -106,7 +106,8 @@ class TestLtiControllerPinned:
         assert [ep.reward for ep in result.episodes] == [500.0, 500.0, 500.0, 66.0, 20.0]
         _, traj = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
                               lqg_controller(self.PARAMS), sensor)
-        assert dataset_hash([traj]) == (
+        run = Dataset(z=traj.z, u=traj.u, x_full=traj.x_full, lengths=[len(traj)])
+        assert dataset_hash(run) == (
             "f5db35cda4525185bf2b29a0754e03328f9703172667f0914372302d559f962f"
         )
 
@@ -211,11 +212,18 @@ class TestExperimentSpec:
         ("n_repeats", True),
         ("budgets", (True,)),
         ("n_eval_episodes", True),
+        # a seed may be any integer, but not a bool
+        ("seed", True),
+        ("seed", False),
     ])
     def test_rejects_empty_counts(self, field, value):
         # caught at construction, not after the earlier cells of a sweep ran
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**70, np.int64(7)])
+    def test_any_integer_seed_accepted(self, seed):
+        assert ExperimentSpec(seed=seed).seed == seed
 
     @pytest.mark.parametrize("orders, field", [
         ({"arx_order": 1, "model_order": 1}, "arx_order must be at least 2"),

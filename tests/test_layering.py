@@ -13,13 +13,15 @@ states the whole of what the module offers the package.
 scipy.linalg (with what it pulls in) costs about half of a cold start and
 about 24 MiB, and the generalized eigenproblems of zeros, norms and synthesis
 need only its LAPACK dggev, which numpy's own LAPACK also exports.
-``linalg.pencil_eigvals`` calls that one through ctypes, bound on first use
-in ``linalg._lapack_dggev`` (the package's one ctypes import), and its
-fallback for a numpy without it holds the package's one scipy import.  So a
-fresh interpreter that simulates, identifies and trains neither loads scipy
-nor makes the binding, and one that also finds zeros and synthesizes a
-controller loads no scipy.linalg wherever the binding resolves.  (numpy
-itself imports ctypes, so the binding, not the module, is what work loads.)
+``linalg.pencil_eigvals`` calls that one through ctypes, and
+``linalg.least_squares`` calls dgelsd the same way; each symbol is bound on
+first use by ``linalg._lapack`` (the package's one ctypes import), and the
+pencil's fallback for a numpy without dggev holds the package's one scipy
+import.  So ``import occball`` binds no symbol, a fresh interpreter that
+simulates, identifies and trains loads no scipy and binds dgelsd alone, and
+one that also finds zeros and synthesizes a controller loads no scipy.linalg
+wherever the dggev binding resolves.  (numpy itself imports ctypes, so the
+bindings, not the module, are what work loads.)
 Likewise ``import occball`` does not load numpy.random (about 10 ms); the
 first draw does.
 
@@ -44,7 +46,7 @@ PACKAGE = Path(occball.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
-CTYPES_HOME = ("linalg.py", "_lapack_dggev")
+CTYPES_HOME = ("linalg.py", "_lapack")
 
 
 def _is_occball_import(node) -> bool:
@@ -169,7 +171,7 @@ def test_scipy_imported_only_by_pencil_eigvals(path):
 def test_ctypes_imported_only_by_the_lapack_binding(path):
     found = _imports_of(ast.parse(path.read_text()), "ctypes")
     stray = [(func, line) for func, line in found if (path.name, func) != CTYPES_HOME]
-    assert not stray, f"{path.name}: ctypes imported outside _lapack_dggev at {stray}"
+    assert not stray, f"{path.name}: ctypes imported outside {CTYPES_HOME[1]} at {stray}"
 
 
 def test_pencil_eigvals_holds_the_scipy_import():
@@ -197,7 +199,7 @@ import occball
 from occball import (PhysicalParams, ZeroController, evaluate, linearize,
                      make_sensor, max_stabilized_angle, transmission_zeros)
 from occball.harness import identify
-from occball.linalg import StateSpaceModel, _lapack_dggev
+from occball.linalg import StateSpaceModel, _lapack
 from occball.sac import SacConfig, train
 from occball.synthesis import build_generalized_plant, hinf_synthesize
 from occball.sysid import collect_budget
@@ -206,6 +208,7 @@ def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 after_import = scipy_loaded()
+bound_after_import = _lapack.cache_info().currsize
 random_after_import = "numpy.random" in sys.modules
 futures_after_import = "concurrent.futures" in sys.modules
 params = PhysicalParams(ell0=0.8)
@@ -214,11 +217,12 @@ ev = evaluate(ZeroController(), params, sensor, 2, seed=1)
 angle = max_stabilized_angle(ZeroController(), params, sensor)
 data = collect_budget(params, sensor, 300, seed=2)
 models = [identify(method, data, params, 6, 4) for method in ("arxhk", "fullstate")]
+after_fits = scipy_loaded()
 config = SacConfig(hidden_widths=(16, 16), history_len=20, batch_size=16, warmup_steps=16, seed=3)
 result = train(params, make_sensor("noise_free", params), config, max_episodes=2)
 futures_after_train = "concurrent.futures" in sys.modules
 after_work = scipy_loaded()
-bound_before_pencils = _lapack_dggev.cache_info().currsize
+bound_before_pencils = _lapack.cache_info().currsize
 zeros = transmission_zeros(linearize(PhysicalParams(ell0=0.8)))
 plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
 syn = hinf_synthesize(build_generalized_plant(plant, 100.0))
@@ -227,7 +231,8 @@ print(json.dumps({
     "random_after_import": random_after_import,
     "futures": [futures_after_import, futures_after_train],
     "after_work": after_work,
-    "bound": [bound_before_pencils, _lapack_dggev() is not None],
+    "after_fits": after_fits,
+    "bound": [bound_after_import, bound_before_pencils, _lapack("dggev") is not None],
     "linalg_after_zeros": "scipy.linalg" in sys.modules,
     "synthesized": syn.feasible,
     "episodes": [len(ev.episodes), len(result.curve)],
@@ -248,6 +253,8 @@ def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["after_import"] == [] and out["after_work"] == []
+    # collecting and fitting (least squares through dgelsd) loads no scipy at all
+    assert out["after_fits"] == []
     # numpy.random loads at the first draw, not with the package
     assert not out["random_after_import"]
     assert out["episodes"] == [2, 2] and out["model_orders"] == [4, 4]
@@ -255,10 +262,11 @@ def test_fresh_interpreter_loads_scipy_only_for_a_pencil():
     # the update's thread pool loads concurrent.futures (and logging) on first use
     assert out["futures"] == [False, True]
     assert 0.0 <= out["angle_deg"] < 15.0
-    # no work before the first pencil makes the binding; with it, no pencil needs scipy
-    before, bound = out["bound"]
-    assert before == 0 and out["synthesized"]
-    assert out["linalg_after_zeros"] == (not bound)
+    # the import binds no LAPACK symbol, and the work before the first pencil binds
+    # only the fits' dgelsd; with dggev bound, no pencil needs scipy
+    after_import, before_pencils, ggev_bound = out["bound"]
+    assert after_import == 0 and before_pencils == 1 and out["synthesized"]
+    assert out["linalg_after_zeros"] == (not ggev_bound)
     params = PhysicalParams(ell0=0.8)
     rate = params.tau * (params.g / (params.ell - params.ell0)) ** 0.5
     got = sorted(re for re, _ in out["zeros"])

@@ -182,6 +182,110 @@ class TestLeastSquares:
             least_squares(np.array([[np.inf, 1.0]]), np.array([1.0]))
 
 
+def _lstsq_cases():
+    """(name, Phi, Y) over the shapes, ranks and right-hand sides least_squares meets."""
+    rng = substream(5, "lsq-matrix")
+    shapes = {"overdetermined": (40, 6), "square": (7, 7), "underdetermined": (5, 9),
+              "tall-arx": (2000, 20), "single-row": (1, 4), "single-column": (30, 1)}
+    for name, (m, n) in shapes.items():
+        Phi = rng.standard_normal((m, n))
+        yield name, Phi
+        if min(m, n) > 1:
+            r = min(m, n) - 1  # rank one short of full
+            low_rank = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            yield name + "-rank-deficient", low_rank
+    yield "zero", np.zeros((6, 3))
+
+
+LSTSQ_CASES = [
+    (f"{name}-{rhs}", Phi, Y)
+    for i, (name, Phi) in enumerate(_lstsq_cases())
+    for rhs, Y in (("1d", substream(i, "lsq-rhs").standard_normal(len(Phi))),
+                   ("2d", substream(i, "lsq-rhs2").standard_normal((len(Phi), 3))),
+                   ("2d-one-column", substream(i, "lsq-rhs3").standard_normal((len(Phi), 1))))
+]
+
+
+class TestLeastSquaresBytes:
+    """least_squares gives np.linalg.lstsq's bytes on either route, in either layout."""
+
+    @pytest.mark.parametrize("route", ["ctypes", "numpy"])
+    @pytest.mark.parametrize("name, Phi, Y", LSTSQ_CASES, ids=[c[0] for c in LSTSQ_CASES])
+    def test_matches_numpy_lstsq(self, name, Phi, Y, route, monkeypatch):
+        ref = np.linalg.lstsq(Phi, Y, rcond=1e-12)[0]
+        if route == "numpy":
+            monkeypatch.setattr(linalg, "_lapack", lambda name: None)
+        for order in ("C", "F"):
+            got = least_squares(np.array(Phi, order=order), np.array(Y, order=order))
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), order
+
+    def test_misaligned_fortran_view(self):
+        # a column slice of a Fortran array starts 8 bytes into a 16-byte line
+        rng = substream(6, "lsq-view")
+        big = np.asfortranarray(rng.standard_normal((37, 8)))
+        Phi, y = big[:, 1:], rng.standard_normal(37)
+        assert Phi.flags.f_contiguous and Phi.ctypes.data % 16 == 8
+        ref = np.linalg.lstsq(Phi, y, rcond=1e-12)[0]
+        assert least_squares(Phi, y).tobytes() == ref.tobytes()
+
+    def test_empty_right_hand_side(self):
+        Phi = substream(7, "lsq-empty").standard_normal((5, 3))
+        got = least_squares(Phi, np.zeros((5, 0)))
+        assert got.shape == (3, 0)
+
+    def test_overwrites_only_writeable_fortran_float64(self):
+        rng = substream(8, "lsq-inputs")
+        Phi, Y = rng.standard_normal((12, 4)), rng.standard_normal((12, 2))
+        ref = np.linalg.lstsq(Phi, Y, rcond=1e-12)[0]
+        frozen = np.asfortranarray(Phi)
+        frozen.flags.writeable = False
+        Y_before = Y.copy()
+        # C-ordered, read-only and list inputs are copied and left as they were
+        for arg in (Phi, frozen, Phi.tolist()):
+            assert least_squares(arg, Y).tobytes() == ref.tobytes()
+        assert np.array_equal(Phi, frozen) and np.array_equal(Y, Y_before)
+        # a writeable Fortran-ordered float64 Phi is the workspace dgelsd runs in; Y never is
+        work = np.asfortranarray(Phi)
+        Y_f = np.asfortranarray(Y)
+        assert least_squares(work, Y_f).tobytes() == ref.tobytes()
+        assert not np.array_equal(work, Phi)
+        assert np.array_equal(Y_f, Y_before)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["Phi", "Y"])
+    def test_non_finite_rejected_before_lapack(self, bad, where, monkeypatch):
+        monkeypatch.setattr(linalg, "_lapack", lambda name: pytest.fail("reached LAPACK"))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("reached lstsq"))
+        Phi, Y = np.eye(3, order="F"), np.ones(3)
+        (Phi if where == "Phi" else Y)[1] = bad
+        with pytest.raises(ValueError, match="least_squares inputs must be finite"):
+            least_squares(Phi, Y)
+
+    @pytest.mark.parametrize("Phi, Y", [
+        (np.ones(3), np.ones(3)),              # not 2-D
+        (np.ones((3, 2)), np.ones(4)),         # rows differ
+        (np.ones((3, 2)), np.ones((3, 2, 1))),  # Y 3-D
+    ], ids=["1-D", "mismatched", "3-D"])
+    def test_rejects_shapes(self, Phi, Y):
+        with pytest.raises(ValueError):
+            least_squares(Phi, Y)
+
+    def test_falls_back_to_numpy_without_the_symbol(self, monkeypatch):
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append("lstsq")
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_lapack", lambda name: calls.append(name))
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        Phi, y = substream(9, "lsq-fallback").standard_normal((8, 3)), np.arange(8.0)
+        ref = lstsq(Phi, y, rcond=1e-12)[0]
+        assert least_squares(Phi, y).tobytes() == ref.tobytes()
+        assert calls == ["dgelsd", "lstsq"]
+
+
 class TestSolveDare:
     def test_scalar_closed_form(self):
         P = solve_dare([[2.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -293,7 +397,7 @@ def test_pencil_eigvals_match_scipy_eig_bytes(k, monkeypatch):
     # numpy's LAPACK through ctypes, then scipy's binding with the ctypes one taken away
     for route in ("ctypes", "scipy"):
         if route == "scipy":
-            monkeypatch.setattr(linalg, "_lapack_dggev", lambda: None)
+            monkeypatch.setattr(linalg, "_lapack", lambda name: None)
         for order in ("C", "F"):
             got = pencil_eigvals(np.array(M, order=order), np.array(N, order=order))
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (route, order)
@@ -306,8 +410,9 @@ def test_pencil_eigvals_binds_numpys_lapack():
     if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
             "openblas configuration", ""):
         pytest.skip(f"numpy's LAPACK is not an ILP64 scipy-openblas: {lapack}")
-    assert linalg._lapack_dggev() is not None
-    assert linalg._lapack_dggev() is linalg._lapack_dggev()  # bound once
+    for name in ("dggev", "dgelsd"):
+        assert linalg._lapack(name) is not None
+        assert linalg._lapack(name) is linalg._lapack(name)  # bound once
 
 
 class TestPencilEigvalsInputs:

@@ -153,8 +153,8 @@ def test_collection_steps_only_the_runs_it_keeps(monkeypatch):
     data = collect_budget(PARAMS, sensor, 1000, seed=4)
     # runs are simulated one at a time and the last one is truncated, so the
     # steps are exactly those of the same runs collected whole
-    assert sum(len(t) for t in data) == 1000
-    assert len(steps) == sum(len(t) for t in longer[:len(data)])
+    assert data.lengths.sum() == 1000
+    assert len(steps) == longer.lengths[:len(data.lengths)].sum()
 
 
 @pytest.mark.parametrize("tier, init_state, created", [
@@ -178,7 +178,7 @@ def test_excitation_run_creates_only_the_substreams_it_draws(monkeypatch, tier, 
     drawn = count_drawn(monkeypatch)
     built = count_pcg64(monkeypatch)
     data = collect_budget(PARAMS, make_sensor(tier, PARAMS), 500, seed=6)
-    assert len(drawn) == len(built) == per_run * len(data)
+    assert len(drawn) == len(built) == per_run * len(data.lengths)
     assert not single
 
 

@@ -5,12 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from occball import sysid
-from occball.cartpole import PhysicalParams, Trajectory, linearize, make_sensor
+from occball import linalg, sysid
+from occball.cartpole import (
+    SENSOR_STREAM,
+    EpisodeConfig,
+    PhysicalParams,
+    Trajectory,
+    linearize,
+    make_sensor,
+)
 from occball.linalg import StateSpaceModel, poles, spectral_radius, tf_eval
-from occball.rngtools import substream
+from occball.rngtools import substream, substreams
 from occball.sysid import (
     ArxModel,
+    Dataset,
     collect_budget,
     _regression_rows,
     dataset_hash,
@@ -23,6 +31,17 @@ from occball.sysid import (
 
 PARAMS = PhysicalParams(ell0=1.0)
 SENSOR = make_sensor("noise_free", PARAMS)
+
+
+def flat(runs):
+    """A Dataset of these Trajectory runs end to end (x_full only if every run logs it)."""
+    runs = list(runs)
+    x_full = None
+    if all(t.x_full is not None for t in runs):
+        x_full = np.concatenate([np.zeros((0, 4))] + [t.x_full for t in runs])
+    return Dataset(z=np.concatenate([np.zeros(0)] + [t.z for t in runs]),
+                   u=np.concatenate([np.zeros(0)] + [t.u for t in runs]),
+                   x_full=x_full, lengths=[len(t) for t in runs])
 
 
 def freq_response(model, omegas):
@@ -56,21 +75,20 @@ class TestCollect:
     def test_deterministic(self):
         d1 = collect_budget(PARAMS, SENSOR, 200, seed=11)
         d2 = collect_budget(PARAMS, SENSOR, 200, seed=11)
-        for a, b in zip(d1, d2):
-            assert np.array_equal(a.z, b.z)
-            assert np.array_equal(a.u, b.u)
-            assert np.array_equal(a.x_full, b.x_full)
+        assert np.array_equal(d1.lengths, d2.lengths)
+        assert np.array_equal(d1.z, d2.z)
+        assert np.array_equal(d1.u, d2.u)
+        assert np.array_equal(d1.x_full, d2.x_full)
 
     def test_every_trajectory_terminates(self):
         data = collect_budget(PARAMS, SENSOR, 1200, seed=3)
-        assert all(1 <= len(t) < 100_000 for t in data)
+        assert all(1 <= n < 100_000 for n in data.lengths)
         # escape is fast under the aggressive excitation
-        assert np.mean([len(t) for t in data]) < 500
+        assert np.mean(data.lengths) < 500
 
     def test_inputs_within_excitation_range(self):
         data = collect_budget(PARAMS, SENSOR, 500, seed=4)
-        for t in data:
-            assert np.max(np.abs(t.u)) <= 10.0
+        assert np.max(np.abs(data.u)) <= 10.0
 
     def test_budget_truncation_exact(self):
         data = collect_budget(PARAMS, SENSOR, 777, seed=5)
@@ -80,13 +98,13 @@ class TestCollect:
         # the kept runs are the first runs of a larger budget, the last one cut short
         short = collect_budget(PARAMS, SENSOR, 777, seed=5)
         long = collect_budget(PARAMS, SENSOR, 5000, seed=5)
-        assert total_samples(long) == 5000 and len(short) < len(long)
-        for cut, full in zip(short, long):
-            k = len(cut)
-            assert k == len(full) or cut is short[-1]
-            assert np.array_equal(cut.z, full.z[:k])
-            assert np.array_equal(cut.u, full.u[:k])
-            assert np.array_equal(cut.x_full, full.x_full[:k])
+        runs = len(short.lengths)
+        assert total_samples(long) == 5000 and runs < len(long.lengths)
+        assert np.array_equal(short.lengths[:-1], long.lengths[:runs - 1])
+        assert short.lengths[-1] <= long.lengths[runs - 1]
+        assert np.array_equal(short.z, long.z[:777])
+        assert np.array_equal(short.u, long.u[:777])
+        assert np.array_equal(short.x_full, long.x_full[:777])
 
     @pytest.mark.parametrize("budget", [float("nan"), 2.5, 0])
     def test_non_integer_budget_rejected_before_simulating(self, monkeypatch, budget):
@@ -96,7 +114,7 @@ class TestCollect:
 
     def test_records_full_state_always(self):
         data = collect_budget(PARAMS, make_sensor("rgb_like", PARAMS), 100, seed=6)
-        assert all(t.x_full is not None and t.x_full.shape[1] == 4 for t in data)
+        assert data.x_full is not None and data.x_full.shape == (100, 4)
 
 
 class TestFitArx:
@@ -104,25 +122,25 @@ class TestFitArx:
         # z(t) = 0.3 z(t-1) - 0.1 z(t-2) + 0.5 u(t-1) + 0.2 u(t-2)
         rng = substream(7, "arx2")
         coef = np.array([0.3, 0.5, -0.1, 0.2])
-        data = []
+        runs = []
         for _ in range(20):
             z = [0.0, 0.0]
             u = list(rng.uniform(-1, 1, 120))
             for t in range(2, 120):
                 z.append(coef[0] * z[t - 1] + coef[1] * u[t - 1]
                          + coef[2] * z[t - 2] + coef[3] * u[t - 2])
-            data.append(Trajectory(z=np.array(z), u=np.array(u[:len(z)])))
-        arx = fit_arx(data, 2)
+            runs.append(Trajectory(z=np.array(z), u=np.array(u[:len(z)])))
+        arx = fit_arx(flat(runs), 2)
         assert np.max(np.abs(arx.G - coef)) < 1e-8
-        preds = _regression_rows(data[:1], 2)[0] @ arx.G
-        assert np.max(np.abs(preds - data[0].z[2:])) < 1e-8
+        preds = _regression_rows(flat(runs[:1]), 2)[0] @ arx.G
+        assert np.max(np.abs(preds - runs[0].z[2:])) < 1e-8
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
             fit_arx(collect_budget(PARAMS, SENSOR, 50, seed=1), 0)
 
     def test_insufficient_rows_error_names_requirement(self):
-        tiny = [Trajectory(z=np.zeros(11), u=np.zeros(11))]
+        tiny = flat([Trajectory(z=np.zeros(11), u=np.zeros(11))])
         with pytest.raises(ValueError, match="20"):
             fit_arx(tiny, 10)
 
@@ -130,13 +148,11 @@ class TestFitArx:
         data = collect_budget(PARAMS, SENSOR, 8000, seed=8)
         arx = fit_arx(data, 10)
         held = collect_budget(PARAMS, SENSOR, 400, seed=999)
-        errs = []
-        for traj in held:
-            if len(traj) <= 10:
-                continue
-            errs.append(np.abs(_regression_rows([traj], 10)[0] @ arx.G - traj.z[10:]).max())
-        z_scale = max(np.abs(t.z).max() for t in held)
-        assert max(errs) < 1e-3 * z_scale
+        # the rows of every run longer than p, each predicted one step ahead
+        Phi, y = _regression_rows(held, 10)
+        errs = np.abs(Phi @ arx.G - y)
+        z_scale = np.abs(held.z).max()
+        assert errs.max() < 1e-3 * z_scale
 
 
 class TestHoKalman:
@@ -197,7 +213,7 @@ class TestHoKalman:
         # deterministic autoregression
         rng = substream(13, "hk-data")
         A, B, C, L, At = random_observer(rng, rho_max=0.3)
-        data = []
+        runs = []
         for _ in range(40):
             x = np.zeros(4)
             zs, us = [], []
@@ -208,8 +224,8 @@ class TestHoKalman:
                 zs.append(z)
                 us.append(u)
                 x = A @ x + B[:, 0] * u + L[:, 0] * e
-            data.append(Trajectory(z=np.array(zs), u=np.array(us)))
-        res = ho_kalman(fit_arx(data, 10), 4)
+            runs.append(Trajectory(z=np.array(zs), u=np.array(us)))
+        res = ho_kalman(fit_arx(flat(runs), 10), 4)
         truth = StateSpaceModel(A, B, C, [[0.0]])
         omegas = np.linspace(0, np.pi, 256)
         ref = freq_response(truth, omegas)
@@ -221,7 +237,7 @@ class TestFitFullState:
     def test_exact_on_linear_generator(self):
         truth = linearize(PARAMS)
         rng = substream(14, "fs-lin")
-        data = []
+        runs = []
         for _ in range(10):
             x = rng.uniform(-0.05, 0.05, 4)
             us = rng.uniform(-10, 10, 60)
@@ -230,8 +246,8 @@ class TestFitFullState:
                 x = truth.A @ x + truth.B[:, 0] * u
                 xs.append(x)
             zs = np.array([(truth.C @ xi).item() for xi in xs])
-            data.append(Trajectory(z=zs, u=us, x_full=np.array(xs)))
-        m = fit_full_state(data, PARAMS.ell0, PARAMS.tau)
+            runs.append(Trajectory(z=zs, u=us, x_full=np.array(xs)))
+        m = fit_full_state(flat(runs), PARAMS.ell0, PARAMS.tau)
         assert np.max(np.abs(m.A - truth.A)) < 1e-8
         assert np.max(np.abs(m.B - truth.B)) < 1e-8
 
@@ -248,8 +264,8 @@ class TestFitFullState:
         assert np.allclose(m.C, [[1.0, 0.0, 0.7, 0.0]])
 
     def test_requires_states(self):
-        data = [Trajectory(z=np.zeros(20), u=np.zeros(20))]
-        with pytest.raises(ValueError):
+        data = flat([Trajectory(z=np.zeros(20), u=np.zeros(20))])
+        with pytest.raises(ValueError, match="x_full"):
             fit_full_state(data, 1.0, 0.02)
 
     def test_error_median_monotone_in_budget(self):
@@ -286,7 +302,7 @@ class TestDatasetIO:
                 _, *rows = csv.reader(f)
             arr = np.array(rows, dtype=float)
             loaded.append(Trajectory(z=arr[:, 6], u=arr[:, 5], x_full=arr[:, 1:5]))
-        assert len(loaded) == len(data) and dataset_hash(loaded) == digest
+        assert len(loaded) == len(data.lengths) and dataset_hash(flat(loaded)) == digest
 
     def test_hash_is_stable(self):
         d1 = collect_budget(PARAMS, SENSOR, 100, seed=22)
@@ -322,7 +338,7 @@ class TestCollectionPinned:
     ])
     def test_budget_ladder(self, tier, budget, runs, digest):
         data = collect_budget(PARAMS, make_sensor(tier, PARAMS), budget, seed=31)
-        assert total_samples(data) == budget and len(data) == runs
+        assert total_samples(data) == budget and len(data.lengths) == runs
         assert dataset_hash(data) == digest
 
 
@@ -340,14 +356,14 @@ class TestFitsPinned:
 
     def data(self):
         data = collect_budget(self.PARAMS, make_sensor("depth_like", self.PARAMS), 353, seed=9)
-        assert [len(t) for t in data] == [49, 33, 33, 21, 32, 50, 20, 57, 33, 22, 3]
+        assert data.lengths.tolist() == [49, 33, 33, 21, 32, 50, 20, 57, 33, 22, 3]
         return data
 
     def test_regression_rows_match_row_by_row_loop(self):
         data, p = self.data(), 10
         rows = [[x for k in range(1, p + 1) for x in (t.z[i - k], t.u[i - k])]
-                for t in data for i in range(p, len(t))]
-        targets = [t.z[i] for t in data for i in range(p, len(t))]
+                for t in data.runs() for i in range(p, len(t))]
+        targets = [t.z[i] for t in data.runs() for i in range(p, len(t))]
         Phi, y = _regression_rows(data, p)
         assert np.array_equal(Phi, np.array(rows)) and np.array_equal(y, np.array(targets))
 
@@ -363,7 +379,118 @@ class TestFitsPinned:
         )
 
     def test_empty_data_is_insufficient(self):
+        empty = Dataset(z=np.zeros(0), u=np.zeros(0), x_full=np.zeros((0, 4)), lengths=[])
         with pytest.raises(ValueError, match="insufficient data"):
-            fit_arx([], 2)
+            fit_arx(empty, 2)
         with pytest.raises(ValueError, match="insufficient data"):
-            fit_full_state([], 1.0, 0.02)
+            fit_full_state(empty, 1.0, 0.02)
+
+
+def _list_collect_budget(params, sensor, budget, seed):
+    """collect_budget as it was: one Trajectory per run in a list, the last one cut."""
+    config = EpisodeConfig(max_steps=sysid._MAX_EXCITE_STEPS)
+    names = ["sysid-init", "sysid-excite"]
+    if sensor.sigma > 0.0:
+        names.append("sysid-" + SENSOR_STREAM)
+    runs = zip(*(substreams(seed, name) for name in names))
+    data = []
+    left = budget
+    while left > 0:
+        traj = sysid._collect_one(params, sensor, config, *next(runs))
+        if len(traj) > left:
+            traj = Trajectory(z=traj.z[:left], u=traj.u[:left], x_full=traj.x_full[:left])
+        data.append(traj)
+        left -= len(traj)
+    return data
+
+
+def _list_dataset_hash(data):
+    h = hashlib.sha256()
+    for traj in data:
+        h.update(traj.z.tobytes())
+        h.update(traj.u.tobytes())
+        h.update(traj.x_full.tobytes())
+    return h.hexdigest()
+
+
+def _list_fit_full_state(data):
+    """fit_full_state's regression as it was: a column_stack per run, then np.linalg.lstsq."""
+    rows = np.concatenate([np.zeros((0, 5))] + [np.column_stack([t.x_full[:-1], t.u[:-1]])
+                                               for t in data])
+    nexts = np.concatenate([np.zeros((0, 4))] + [t.x_full[1:] for t in data])
+    if len(rows) < 5:
+        raise ValueError(f"insufficient data: {len(rows)} transitions, need at least 5")
+    Theta = np.linalg.lstsq(rows, nexts, rcond=1e-12)[0]
+    return Theta[:4, :].T, Theta[4:, :].T
+
+
+def _list_fit_arx(data, p):
+    """fit_arx as it was: runs concatenated, then np.linalg.lstsq."""
+    lengths = np.array([len(t) for t in data], dtype=np.intp)
+    z = np.concatenate([t.z for t in data])
+    u = np.concatenate([t.u for t in data])
+    within = np.arange(len(z)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    targets = np.flatnonzero(within >= p)
+    Phi = np.column_stack([x[targets - k] for k in range(1, p + 1) for x in (z, u)])
+    if len(Phi) < 2 * p:
+        raise ValueError(f"insufficient data: {len(Phi)} regression rows, need at least {2 * p}")
+    return np.linalg.lstsq(Phi, z[targets], rcond=1e-12)[0]
+
+
+class TestFlatDatasetMatchesRunList:
+    """The flat Dataset holds the bytes the per-run list held, and fits to the same bytes."""
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000, 20000])
+    @pytest.mark.parametrize("tier", ["noise_free", "depth_like", "rgb_like"])
+    def test_runs_hash_and_fits(self, tier, budget, monkeypatch):
+        params = PhysicalParams(ell0=0.8)
+        sensor = make_sensor(tier, params)
+        runs = _list_collect_budget(params, sensor, budget, seed=41)
+        data = collect_budget(params, sensor, budget, seed=41)
+        assert data.lengths.tolist() == [len(t) for t in runs]
+        assert data.lengths.dtype == np.intp and sum(data.lengths) == budget
+        for old, new in zip(runs, data.runs(), strict=True):
+            for name in ("z", "u", "x_full"):
+                a, b = getattr(old, name), getattr(new, name)
+                assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), name
+        assert dataset_hash(data) == _list_dataset_hash(runs)
+
+        old_fits = (lambda: _list_fit_full_state(runs), lambda: _list_fit_arx(runs, 10))
+        new_fits = (lambda: fit_full_state(data, params.ell0, params.tau),
+                    lambda: fit_arx(data, 10))
+        if budget == 1:
+            # one sample holds no transition and no ARX row, on either side
+            for old_fit, new_fit in zip(old_fits, new_fits):
+                with pytest.raises(ValueError, match="insufficient data") as old:
+                    old_fit()
+                with pytest.raises(ValueError, match="insufficient data") as new:
+                    new_fit()
+                assert str(old.value) == str(new.value)
+            return
+        (A, B), G = (fit() for fit in old_fits)
+        full, arx = (fit() for fit in new_fits)
+        assert _bytes_hash(A, B) == _bytes_hash(full.A, full.B)
+        assert G.tobytes() == arx.G.tobytes()
+        for n in (1, 4):
+            # Ho-Kalman's shift solve as it was (np.linalg.lstsq) against dgelsd in place
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_lapack", lambda name: None)
+                old = ho_kalman(ArxModel(G=G, p=10), n)
+            new = ho_kalman(arx, n)
+            assert _bytes_hash(old.A_hat, old.B_hat, old.C_hat) == _bytes_hash(
+                new.A_hat, new.B_hat, new.C_hat), n
+
+    @pytest.mark.parametrize("z, u, lengths", [
+        (np.zeros(5), np.zeros(4), [5]),      # z and u differ
+        (np.zeros(5), np.zeros(5), [2, 2]),   # lengths sum short
+        (np.zeros(5), np.zeros(5), [5, 0]),   # an empty run
+    ], ids=["z-u", "sum", "empty-run"])
+    def test_dataset_rejects_inconsistent_lengths(self, z, u, lengths):
+        with pytest.raises(ValueError, match="must have one length"):
+            Dataset(z=z, u=u, x_full=None, lengths=lengths)
+
+    def test_budget_one_cuts_the_first_run(self):
+        runs = _list_collect_budget(PARAMS, SENSOR, 100, seed=41)
+        data = collect_budget(PARAMS, SENSOR, 1, seed=41)
+        assert len(runs[0]) > 1 and data.lengths.tolist() == [1]
+        assert data.z.tobytes() == runs[0].z[:1].tobytes()
