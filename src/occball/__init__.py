@@ -7,12 +7,12 @@ and soft actor-critic over measurement histories.
 """
 
 from .cartpole import (
+    Dataset,
     EpisodeConfig,
     EpisodeResult,
     PhysicalParams,
     SensorSpec,
     SimState,
-    Trajectory,
     linearize,
     make_sensor,
     run_episode,
@@ -30,7 +30,7 @@ from .linalg import (
     tf_eval,
     transmission_zeros,
 )
-from .sysid import ArxModel, Dataset, HoKalmanResult, fit_arx, fit_full_state, ho_kalman
+from .sysid import ArxModel, HoKalmanResult, fit_arx, fit_full_state, ho_kalman
 from .synthesis import build_generalized_plant, hinf_synthesize
 
 __version__ = "0.1.0"

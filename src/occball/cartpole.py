@@ -29,7 +29,7 @@ __all__ = [
     "SensorSpec",
     "EpisodeConfig",
     "EpisodeResult",
-    "Trajectory",
+    "Dataset",
     "SENSOR_TIERS",
     "SENSOR_STREAM",
     "check_count",
@@ -146,24 +146,49 @@ def make_sensor(tier: str, params: PhysicalParams) -> SensorSpec:
     return SensorSpec(tier, SENSOR_TIERS[tier], z_range)
 
 
-@dataclass
-class Trajectory:
-    """Time-indexed observation/input records, with full states when logged."""
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """The one record of simulated samples: runs end to end, run i the next lengths[i] rows.
+
+    z (measurements y) and u (forces) are float64 of one length N, x_full the N x 4
+    pre-step states, and lengths one entry >= 1 per run, summing to N.  simulate
+    returns one run, with lengths (N,); sysid.collect_budget fills one with many.
+    """
 
     z: np.ndarray
     u: np.ndarray
-    x_full: np.ndarray | None = None
+    x_full: np.ndarray
+    lengths: np.ndarray
 
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float).ravel()
-        self.u = np.asarray(self.u, dtype=float).ravel()
-        if len(self.z) != len(self.u) or len(self.z) < 1:
-            raise ValueError("z and u must have equal length >= 1")
-        if self.x_full is not None:
-            self.x_full = np.asarray(self.x_full, dtype=float).reshape(len(self.z), -1)
+    # simulate builds one per episode: each field is set once, not twice as by a frozen
+    # dataclass's __init__, and counts are checked as ints, not by costlier numpy reductions
+    def __init__(self, z, u, x_full, lengths):
+        z = np.asarray(z, dtype=float).ravel()
+        u = np.asarray(u, dtype=float).ravel()
+        lengths = np.asarray(lengths, dtype=np.intp).ravel()
+        counts = lengths.tolist()
+        if len(u) != len(z) or sum(counts) != len(z) or min(counts, default=1) < 1:
+            raise ValueError(f"z ({len(z)}) and u ({len(u)}) must have one length, split into "
+                             f"runs of at least one sample by lengths (sum {sum(counts)})")
+        states = np.ascontiguousarray(x_full, dtype=float)
+        if states.shape != (len(z), 4):
+            raise ValueError(f"x_full must hold {len(z)} x 4 states, one per sample, "
+                             f"got shape {np.shape(x_full)}")
+        set_field = object.__setattr__
+        set_field(self, "z", z)
+        set_field(self, "u", u)
+        set_field(self, "x_full", states)
+        set_field(self, "lengths", lengths)
 
     def __len__(self) -> int:
         return len(self.z)
+
+    def runs(self):
+        """Each run as a one-run Dataset of views into the flat arrays, in order."""
+        ends = np.cumsum(self.lengths).tolist()
+        for start, end in zip([0] + ends, ends):
+            yield Dataset(z=self.z[start:end], u=self.u[start:end],
+                          x_full=self.x_full[start:end], lengths=(end - start,))
 
 
 @dataclass(frozen=True)
@@ -263,8 +288,9 @@ def simulate(
     and returns the force u.  The episode ends when the cart drifts more than
     h_limit from h_origin or the angle leaves its limit, when the controller
     emits a non-finite force, or after max_steps.  Returns the result, the
-    per-step (y, u, pre-step state) records, the state it ended in, and the
-    measurement of that state, taken as the sensor stream's next draw.
+    episode as a one-run Dataset (y, u and pre-step state per step), the
+    state it ended in, and the measurement of that state, taken as the
+    sensor stream's next draw.
     Sensor noise is drawn from rng_sensor in chunks, so its position after
     the call is past the last draw used.
     """
@@ -306,7 +332,8 @@ def simulate(
     result = EpisodeResult(steps=steps, success=cause == "completed", cause=cause, seed=config.seed)
     n = len(xs)
     x_full = np.fromiter(itertools.chain.from_iterable(xs), float, 4 * n).reshape(-1, 4)
-    traj = Trajectory(z=np.fromiter(zs, float, n), u=np.fromiter(us, float, n), x_full=x_full)
+    traj = Dataset(z=np.fromiter(zs, float, n), u=np.fromiter(us, float, n), x_full=x_full,
+                   lengths=(n,))
     return result, traj, state, y_end
 
 
@@ -330,14 +357,13 @@ def run_episode(
 _TRAJ_COLUMNS = ("t", "h", "h_dot", "theta", "theta_dot", "u", "y")
 
 
-def save_trajectory(path, traj: Trajectory, meta: dict | None = None) -> None:
-    """Write a trajectory as CSV; optional metadata goes to a JSON sidecar."""
+def save_trajectory(path, traj: Dataset, meta: dict | None = None) -> None:
+    """Write a run as CSV, one row per sample; optional metadata goes to a JSON sidecar."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_TRAJ_COLUMNS)
         for t in range(len(traj)):
-            x = traj.x_full[t] if traj.x_full is not None else [math.nan] * 4
-            writer.writerow([t, *(repr(float(v)) for v in (*x, traj.u[t], traj.z[t]))])
+            writer.writerow([t, *(repr(float(v)) for v in (*traj.x_full[t], traj.u[t], traj.z[t]))])
     if meta is not None:
         with open(str(path) + ".meta.json", "w") as f:
             json.dump(meta, f, indent=2, sort_keys=True)

@@ -95,8 +95,11 @@ class ExperimentSpec:
         if self.method not in ("rl", "hinf_arxhk", "hinf_fullstate"):
             raise ValueError(f"unknown method {self.method!r}")
         for f in self.fixations:
-            if not 0 < f <= 1.0:
-                raise ValueError("fixations must lie in (0, ell]")
+            # json's true is a Python bool, a number that would name and seed cells "True"
+            if isinstance(f, bool) or not 0 < f <= 1.0:
+                raise ValueError(f"fixations must be numbers in (0, ell], got {f!r}")
+        # as floats, 1 and 1.0 name, seed and write the same cells
+        object.__setattr__(self, "fixations", tuple(float(f) for f in self.fixations))
         for t in self.sensor_tiers:
             make_sensor(t, PhysicalParams())
         # any integer is a seed, but a bool (json's true) is not one
@@ -124,6 +127,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown spec keys {unknown}")
         for key in ("fixations", "sensor_tiers", "budgets"):
             if key in raw:
+                # a string would otherwise be split into characters
+                if not isinstance(raw[key], list):
+                    raise ValueError(f"{key} must be a JSON list, got {raw[key]!r}")
                 raw[key] = tuple(raw[key])
         return cls(**raw)
 

@@ -6,8 +6,12 @@ Two routes to a strictly causal LTI model of the fixation-point response:
   interpret its coefficients as predictor Markov parameters, and realize a
   state-space observer of chosen order from the Hankel matrix they fill
   (Ho-Kalman).
-* Full-state regression: when states are logged, regress x(t+1) on
-  (x(t), u(t)) and attach the known readout row.
+* Full-state regression: regress x(t+1) on (x(t), u(t)), from the states
+  every run logs, and attach the known readout row.
+
+Both fit a cartpole.Dataset, the one record of simulated samples:
+collect_budget fills one with the excitation runs end to end, and
+Dataset.runs() yields each run as a one-run Dataset for hashing and saving.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 
 from .cartpole import (
     SENSOR_STREAM,
+    Dataset,
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
-    Trajectory,
     check_count,
     sample_initial_state,
     save_trajectory,
@@ -35,7 +39,6 @@ from .linalg import StateSpaceModel, least_squares
 from .rngtools import chunked, substreams
 
 __all__ = [
-    "Dataset",
     "ArxModel",
     "HoKalmanResult",
     "collect_budget",
@@ -83,40 +86,6 @@ class HoKalmanResult:
 
     def to_model(self, dt: float = 1.0) -> StateSpaceModel:
         return StateSpaceModel(self.A_hat, self.B_hat, self.C_hat, np.zeros((1, 1)), dt)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Excitation runs stored end to end: run i is the next lengths[i] rows.
-
-    z and u are float64 of one length N, x_full is N x 4 (or None where no
-    states were logged), and lengths holds one entry >= 1 per run, summing to N.
-    """
-
-    z: np.ndarray
-    u: np.ndarray
-    x_full: np.ndarray | None
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        z, u = (np.asarray(a, dtype=float).ravel() for a in (self.z, self.u))
-        lengths = np.asarray(self.lengths, dtype=np.intp).ravel()
-        if len(u) != len(z) or lengths.sum() != len(z) or (lengths < 1).any():
-            raise ValueError(f"z ({len(z)}) and u ({len(u)}) must have one length, split into "
-                             f"runs of at least one sample by lengths (sum {lengths.sum()})")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "lengths", lengths)
-        if self.x_full is not None:
-            object.__setattr__(self, "x_full", np.ascontiguousarray(
-                self.x_full, dtype=float).reshape(len(z), 4))
-
-    def runs(self):
-        """Each run as a Trajectory of views into the flat arrays, in order."""
-        ends = np.cumsum(self.lengths).tolist()
-        for start, end in zip([0] + ends, ends):
-            x = None if self.x_full is None else self.x_full[start:end]
-            yield Trajectory(z=self.z[start:end], u=self.u[start:end], x_full=x)
 
 
 def total_samples(data: Dataset) -> int:
@@ -242,8 +211,6 @@ def ho_kalman(arx: ArxModel, n: int) -> HoKalmanResult:
 
 def fit_full_state(data: Dataset, ell0: float, tau: float) -> StateSpaceModel:
     """Regress x(t+1) on (x(t), u(t)) and attach the readout [1, 0, ell0, 0]."""
-    if data.x_full is None:
-        raise ValueError("full-state fitting needs a dataset with x_full")
     dim = 4 + 1
     rows = len(data.z) - len(data.lengths)
     if rows < dim:
@@ -271,8 +238,7 @@ def dataset_hash(data: Dataset) -> str:
     for traj in data.runs():
         h.update(traj.z)
         h.update(traj.u)
-        if traj.x_full is not None:
-            h.update(traj.x_full)
+        h.update(traj.x_full)
     return h.hexdigest()
 
 

@@ -6,11 +6,11 @@ import pytest
 
 from occball.cartpole import (
     SENSOR_STREAM,
+    Dataset,
     EpisodeConfig,
     PhysicalParams,
     SensorSpec,
     SimState,
-    Trajectory,
     episode_metadata,
     episode_start,
     linearize,
@@ -26,12 +26,7 @@ from occball.harness import AngleResult, identify, max_stabilized_angle
 from occball.linalg import poles
 from occball.rngtools import CHUNK, substream
 from occball.synthesis import EPSILON_BY_TIER, build_generalized_plant, hinf_synthesize
-from occball.sysid import Dataset, collect_budget, dataset_hash
-
-
-def _run_hash(traj):
-    """dataset_hash of the one-run dataset holding traj."""
-    return dataset_hash(Dataset(z=traj.z, u=traj.u, x_full=traj.x_full, lengths=[len(traj)]))
+from occball.sysid import collect_budget, dataset_hash
 
 
 class TestParams:
@@ -320,7 +315,7 @@ class TestRunEpisode:
         p = PhysicalParams(ell0=0.7)
         result, traj = run_episode(p, EpisodeConfig(seed=11), Lead(), make_sensor("depth_like", p))
         assert (result.steps, result.cause) == (43, "theta_limit")
-        assert _run_hash(traj) == (
+        assert dataset_hash(traj) == (
             "99280f67a996b71d08bb98e0139b375edfbdcac4385c92320e7d925e26164d7a"
         )
 
@@ -390,7 +385,7 @@ class TestLtiEpisodePinned:
         result, traj = run_episode(self.PARAMS, EpisodeConfig(seed=13), controller,
                                    make_sensor("rgb_like", self.PARAMS))
         assert (result.steps, result.cause) == (500, "completed")
-        assert _run_hash(traj) == (
+        assert dataset_hash(traj) == (
             "0ae7d0eb0ab0f1524683d8ca5d237f12b0fafba7dbe6faa2710839557c2a4fe7"
         )
 
@@ -419,4 +414,10 @@ class TestTrajectoryIO:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(z=np.zeros(3), u=np.zeros(2))
+            Dataset(z=np.zeros(3), u=np.zeros(2), x_full=np.zeros((3, 4)), lengths=[3])
+
+    @pytest.mark.parametrize("x_full", [None, np.zeros((3, 3)), np.zeros(12), np.zeros((2, 4))],
+                             ids=["missing", "n-by-3", "flat", "short"])
+    def test_states_must_be_n_by_4(self, x_full):
+        with pytest.raises(ValueError, match="x_full"):
+            Dataset(z=np.zeros(3), u=np.zeros(3), x_full=x_full, lengths=[3])

@@ -213,6 +213,19 @@ class TestSweep:
         assert "--spec" in result.output and field in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("fixations", 1.0), ("sensor_tiers", "rgb_like"), ("budgets", "100"),
+    ])
+    def test_non_list_spec_grid_rejected(self, runner, tmp_path, field, value):
+        # a string was split into characters: "rgb_like" failed as the tier 'r'
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "hinf_fullstate", field: value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and f"{field} must be a JSON list" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_spec_seed_rejected(self, runner, tmp_path, value):
         # json's true is a Python bool, an int that the cell seeds would read as 1

@@ -20,7 +20,7 @@ from occball.harness import (
 from occball.limits import bound_for_model
 from occball.linalg import StateSpaceModel, solve_dare
 from occball.synthesis import build_generalized_plant, hinf_synthesize
-from occball.sysid import Dataset, collect_budget, dataset_hash
+from occball.sysid import collect_budget, dataset_hash
 
 PARAMS = PhysicalParams()
 SENSOR = make_sensor("noise_free", PARAMS)
@@ -106,8 +106,7 @@ class TestLtiControllerPinned:
         assert [ep.reward for ep in result.episodes] == [500.0, 500.0, 500.0, 66.0, 20.0]
         _, traj = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
                               lqg_controller(self.PARAMS), sensor)
-        run = Dataset(z=traj.z, u=traj.u, x_full=traj.x_full, lengths=[len(traj)])
-        assert dataset_hash(run) == (
+        assert dataset_hash(traj) == (
             "f5db35cda4525185bf2b29a0754e03328f9703172667f0914372302d559f962f"
         )
 
@@ -258,6 +257,26 @@ class TestExperimentSpec:
         spec = ExperimentSpec.from_json(path)
         assert spec.method == "hinf_fullstate"
         assert spec.budgets == (500,)
+
+    def test_fixation_spellings(self, tmp_path):
+        # JSON's 1 and 1.0 are one fixation, held as the float that names, seeds and
+        # writes its cells; JSON's true once seeded a cell of its own
+        def spec(fixation):
+            path = tmp_path / f"spec_{fixation}.json"
+            path.write_text(json.dumps({
+                "method": "rl", "fixations": [fixation], "sensor_tiers": ["noise_free"],
+                "rl_seeds": 1, "rl_max_episodes": 1, "n_eval_episodes": 1, "seed": 9,
+            }))
+            return ExperimentSpec.from_json(path)
+
+        with pytest.raises(ValueError, match=r"fixations must be numbers in \(0, ell\], got True"):
+            spec(True)
+        as_int, as_float = spec(1), spec(1.0)
+        assert [type(f) for f in as_int.fixations + as_float.fixations] == [float, float]
+        run_sweep(as_int, tmp_path / "int")
+        run_sweep(as_float, tmp_path / "float")
+        assert _dir_bytes(tmp_path / "int") == _dir_bytes(tmp_path / "float")
+        assert (tmp_path / "int" / "rl_curve_1.0_noise_free_0.csv").exists()
 
 
 SWEEP_SPECS = {

@@ -25,6 +25,11 @@ bindings, not the module, are what work loads.)
 Likewise ``import occball`` does not load numpy.random (about 10 ms); the
 first draw does.
 
+Tests and the benchmark import each name from the module that defines it:
+``from occball.<module> import name`` names a def, class or assignment at
+the top of that module, not a name the module itself imports, so moving a
+definition moves its importers with it.
+
 A dataclass field that nothing reads is a result computed for no one, so every
 field of a dataclass in the package is read as ``.field`` somewhere in the
 package or the benchmark, outside its own class body.
@@ -45,6 +50,7 @@ from occball.cartpole import PhysicalParams
 PACKAGE = Path(occball.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
 CTYPES_HOME = ("linalg.py", "_lapack")
 
@@ -90,6 +96,30 @@ def _unexported_imports(tree):
             exports = _exports(module)
             for alias in node.names:
                 if exports is None or alias.name not in exports:
+                    yield module, alias.name, node.lineno
+
+
+def _definitions(name: str) -> set:
+    """The names occball module `name` binds at top level by def, class or assignment."""
+    defined = set()
+    for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
+def _borrowed_imports(tree):
+    """(module, name, line) of each name imported from occball.<module> that it does not define."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").startswith("occball.")):
+            module = node.module.split(".")[1]
+            defined = _definitions(module)
+            for alias in node.names:
+                if alias.name not in defined:
                     yield module, alias.name, node.lineno
 
 
@@ -158,6 +188,12 @@ def test_no_private_names_imported_across_modules(path):
 def test_imported_names_are_exported(path):
     found = list(_unexported_imports(ast.parse(path.read_text())))
     assert not found, f"{path.name}: imports names missing from their module's __all__ {found}"
+
+
+@pytest.mark.parametrize("path", TESTS + BENCH, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_name_the_defining_module(path):
+    found = list(_borrowed_imports(ast.parse(path.read_text())))
+    assert not found, f"{path.name}: imports names their module does not define {found}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from occball import linalg, sysid
 from occball.cartpole import (
     SENSOR_STREAM,
+    Dataset,
     EpisodeConfig,
     PhysicalParams,
-    Trajectory,
     linearize,
     make_sensor,
 )
@@ -18,7 +19,6 @@ from occball.linalg import StateSpaceModel, poles, spectral_radius, tf_eval
 from occball.rngtools import substream, substreams
 from occball.sysid import (
     ArxModel,
-    Dataset,
     collect_budget,
     _regression_rows,
     dataset_hash,
@@ -33,15 +33,23 @@ PARAMS = PhysicalParams(ell0=1.0)
 SENSOR = make_sensor("noise_free", PARAMS)
 
 
+# one run's samples, as a list of runs holds them
+Run = namedtuple("Run", "z u x_full")
+
+
+def stateless_run(z, u):
+    """A Run of synthetic samples with no simulated state: its x_full is zero."""
+    return Run(z=np.asarray(z, dtype=float), u=np.asarray(u, dtype=float),
+               x_full=np.zeros((len(z), 4)))
+
+
 def flat(runs):
-    """A Dataset of these Trajectory runs end to end (x_full only if every run logs it)."""
+    """A Dataset of these runs end to end."""
     runs = list(runs)
-    x_full = None
-    if all(t.x_full is not None for t in runs):
-        x_full = np.concatenate([np.zeros((0, 4))] + [t.x_full for t in runs])
     return Dataset(z=np.concatenate([np.zeros(0)] + [t.z for t in runs]),
                    u=np.concatenate([np.zeros(0)] + [t.u for t in runs]),
-                   x_full=x_full, lengths=[len(t) for t in runs])
+                   x_full=np.concatenate([np.zeros((0, 4))] + [t.x_full for t in runs]),
+                   lengths=[len(t.z) for t in runs])
 
 
 def freq_response(model, omegas):
@@ -129,7 +137,7 @@ class TestFitArx:
             for t in range(2, 120):
                 z.append(coef[0] * z[t - 1] + coef[1] * u[t - 1]
                          + coef[2] * z[t - 2] + coef[3] * u[t - 2])
-            runs.append(Trajectory(z=np.array(z), u=np.array(u[:len(z)])))
+            runs.append(stateless_run(z, u[:len(z)]))
         arx = fit_arx(flat(runs), 2)
         assert np.max(np.abs(arx.G - coef)) < 1e-8
         preds = _regression_rows(flat(runs[:1]), 2)[0] @ arx.G
@@ -140,7 +148,7 @@ class TestFitArx:
             fit_arx(collect_budget(PARAMS, SENSOR, 50, seed=1), 0)
 
     def test_insufficient_rows_error_names_requirement(self):
-        tiny = flat([Trajectory(z=np.zeros(11), u=np.zeros(11))])
+        tiny = flat([stateless_run(np.zeros(11), np.zeros(11))])
         with pytest.raises(ValueError, match="20"):
             fit_arx(tiny, 10)
 
@@ -224,7 +232,7 @@ class TestHoKalman:
                 zs.append(z)
                 us.append(u)
                 x = A @ x + B[:, 0] * u + L[:, 0] * e
-            runs.append(Trajectory(z=np.array(zs), u=np.array(us)))
+            runs.append(stateless_run(zs, us))
         res = ho_kalman(fit_arx(flat(runs), 10), 4)
         truth = StateSpaceModel(A, B, C, [[0.0]])
         omegas = np.linspace(0, np.pi, 256)
@@ -246,7 +254,7 @@ class TestFitFullState:
                 x = truth.A @ x + truth.B[:, 0] * u
                 xs.append(x)
             zs = np.array([(truth.C @ xi).item() for xi in xs])
-            runs.append(Trajectory(z=zs, u=us, x_full=np.array(xs)))
+            runs.append(Run(z=zs, u=us, x_full=np.array(xs)))
         m = fit_full_state(flat(runs), PARAMS.ell0, PARAMS.tau)
         assert np.max(np.abs(m.A - truth.A)) < 1e-8
         assert np.max(np.abs(m.B - truth.B)) < 1e-8
@@ -262,11 +270,6 @@ class TestFitFullState:
         data = collect_budget(PhysicalParams(ell0=0.7), SENSOR, 400, seed=5)
         m = fit_full_state(data, 0.7, 0.02)
         assert np.allclose(m.C, [[1.0, 0.0, 0.7, 0.0]])
-
-    def test_requires_states(self):
-        data = flat([Trajectory(z=np.zeros(20), u=np.zeros(20))])
-        with pytest.raises(ValueError, match="x_full"):
-            fit_full_state(data, 1.0, 0.02)
 
     def test_error_median_monotone_in_budget(self):
         # quality improves with data: median sup-norm frequency error over 7
@@ -301,7 +304,7 @@ class TestDatasetIO:
             with open(tmp_path / "ds" / f"traj_{i:04d}.csv", newline="") as f:
                 _, *rows = csv.reader(f)
             arr = np.array(rows, dtype=float)
-            loaded.append(Trajectory(z=arr[:, 6], u=arr[:, 5], x_full=arr[:, 1:5]))
+            loaded.append(Run(z=arr[:, 6], u=arr[:, 5], x_full=arr[:, 1:5]))
         assert len(loaded) == len(data.lengths) and dataset_hash(flat(loaded)) == digest
 
     def test_hash_is_stable(self):
@@ -387,7 +390,7 @@ class TestFitsPinned:
 
 
 def _list_collect_budget(params, sensor, budget, seed):
-    """collect_budget as it was: one Trajectory per run in a list, the last one cut."""
+    """collect_budget as it was: one Run per run in a list, the last one cut."""
     config = EpisodeConfig(max_steps=sysid._MAX_EXCITE_STEPS)
     names = ["sysid-init", "sysid-excite"]
     if sensor.sigma > 0.0:
@@ -396,11 +399,9 @@ def _list_collect_budget(params, sensor, budget, seed):
     data = []
     left = budget
     while left > 0:
-        traj = sysid._collect_one(params, sensor, config, *next(runs))
-        if len(traj) > left:
-            traj = Trajectory(z=traj.z[:left], u=traj.u[:left], x_full=traj.x_full[:left])
-        data.append(traj)
-        left -= len(traj)
+        run = sysid._collect_one(params, sensor, config, *next(runs))
+        data.append(Run(z=run.z[:left], u=run.u[:left], x_full=run.x_full[:left]))
+        left -= len(data[-1].z)
     return data
 
 
@@ -426,7 +427,7 @@ def _list_fit_full_state(data):
 
 def _list_fit_arx(data, p):
     """fit_arx as it was: runs concatenated, then np.linalg.lstsq."""
-    lengths = np.array([len(t) for t in data], dtype=np.intp)
+    lengths = np.array([len(t.z) for t in data], dtype=np.intp)
     z = np.concatenate([t.z for t in data])
     u = np.concatenate([t.u for t in data])
     within = np.arange(len(z)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -447,7 +448,7 @@ class TestFlatDatasetMatchesRunList:
         sensor = make_sensor(tier, params)
         runs = _list_collect_budget(params, sensor, budget, seed=41)
         data = collect_budget(params, sensor, budget, seed=41)
-        assert data.lengths.tolist() == [len(t) for t in runs]
+        assert data.lengths.tolist() == [len(t.z) for t in runs]
         assert data.lengths.dtype == np.intp and sum(data.lengths) == budget
         for old, new in zip(runs, data.runs(), strict=True):
             for name in ("z", "u", "x_full"):
@@ -487,10 +488,10 @@ class TestFlatDatasetMatchesRunList:
     ], ids=["z-u", "sum", "empty-run"])
     def test_dataset_rejects_inconsistent_lengths(self, z, u, lengths):
         with pytest.raises(ValueError, match="must have one length"):
-            Dataset(z=z, u=u, x_full=None, lengths=lengths)
+            Dataset(z=z, u=u, x_full=np.zeros((len(z), 4)), lengths=lengths)
 
     def test_budget_one_cuts_the_first_run(self):
         runs = _list_collect_budget(PARAMS, SENSOR, 100, seed=41)
         data = collect_budget(PARAMS, SENSOR, 1, seed=41)
-        assert len(runs[0]) > 1 and data.lengths.tolist() == [1]
+        assert len(runs[0].z) > 1 and data.lengths.tolist() == [1]
         assert data.z.tobytes() == runs[0].z[:1].tobytes()
