@@ -4,7 +4,10 @@ The agent state is the window of the last H sensor readings.  Policy and
 twin critics are small dense networks whose forward and reverse passes are
 written out explicitly for this fixed architecture; an adaptive-moment
 optimizer drives the updates and finite-difference checks in the test suite
-guard every gradient.
+guard every gradient.  A cached forward pass keeps only each layer's input
+(x, then each hidden ReLU output, written over its pre-activation), and the
+optimizer runs its step through two temporaries per parameter without
+copying the gradient, so an update allocates little beyond its arithmetic.
 
 Each update has two branches that share no data: the critic targets and
 losses, and the policy loss, which reads the critics but not their targets.
@@ -128,30 +131,32 @@ class Mlp:
         cache = [a] if need_cache else None
         last = len(self.Ws) - 1
         for i, (W, b) in enumerate(zip(self.Ws, self.bs)):
-            z = a @ W
-            z += b
-            a = z if i == last else np.maximum(z, 0.0)
-            if need_cache:
-                cache.append(z)
-                if i != last:
+            a = a @ W
+            a += b
+            if i != last:
+                np.maximum(a, 0.0, out=a)  # the pre-activation is fresh, so it becomes its ReLU
+                if need_cache:
                     cache.append(a)
         return (a, cache) if need_cache else a
 
     def backward(self, cache, dy: np.ndarray, with_param_grads: bool = True):
         """Gradients for forward(x): the parameter gradients, or else dx.
 
-        cache layout: [a0, z1, a1, z2, a2, ..., z_last]; dy matches the
-        output.  The parameter gradients align with parameters(); with
-        with_param_grads=False only dx is formed and returned.
+        cache layout: [a0, a1, ..., a_last], the input of each layer, so a0
+        is x and a_{i+1} = relu(z_{i+1}); dy matches the output.  The ReLU
+        mask a_{i+1} > 0 equals z_{i+1} > 0, NaN included, so the
+        pre-activations are not kept.  The parameter gradients align with
+        parameters(); with with_param_grads=False only dx is formed and
+        returned.
         """
         grads = [None] * (2 * len(self.Ws)) if with_param_grads else None
         dz = np.asarray(dy, dtype=self.dtype)
         last = len(self.Ws) - 1
         for i in range(last, -1, -1):
             if i != last:
-                dz *= cache[2 * i + 1] > 0  # dz is the fresh product from layer i + 1
+                dz *= cache[i + 1] > 0  # dz is the fresh product from layer i + 1
             if with_param_grads:
-                grads[2 * i] = cache[2 * i].T @ dz
+                grads[2 * i] = cache[i].T @ dz
                 grads[2 * i + 1] = dz.sum(axis=0)
             if i or not with_param_grads:  # nobody reads dx next to the parameter gradients
                 dz = dz @ self.Ws[i].T
@@ -170,13 +175,18 @@ class _Adam:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), ufunc by ufunc in its own
+        # order, through two temporaries the size of p; the gradient is only read
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            g = g.astype(p.dtype)
+            g = g.astype(p.dtype, copy=False)
+            step, denom = np.empty_like(p), np.empty_like(p)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.square(g, out=denom), out=denom)
+            np.multiply(self.lr, np.divide(m, b1t, out=step), out=step)
+            np.add(np.sqrt(np.divide(v, b2t, out=denom), out=denom), self.eps, out=denom)
+            p -= np.divide(step, denom, out=step)
 
 
 def _log_std_from_raw(raw):
@@ -559,7 +569,7 @@ class PolicyController(Controller):
         if self._window is None:
             self._window = np.full(self.H, y, dtype=self.policy.net.dtype)
         else:
-            self._window = np.roll(self._window, -1)
+            self._window[:-1] = self._window[1:]
             self._window[-1] = y
         return self._window
 

@@ -10,8 +10,9 @@ Two routes to a strictly causal LTI model of the fixation-point response:
   every run logs, and attach the known readout row.
 
 Both fit a cartpole.Dataset, the one record of simulated samples:
-collect_budget fills one with the excitation runs end to end, and
-Dataset.runs() yields each run as a one-run Dataset for hashing and saving.
+collect_budget fills one with the excitation runs end to end;
+dataset_hash reads each run as slices of the flat arrays, and save_dataset
+walks Dataset.runs(), which yields each run as a one-run Dataset.
 """
 
 from __future__ import annotations
@@ -235,10 +236,11 @@ def fit_full_state(data: Dataset, ell0: float, tau: float) -> StateSpaceModel:
 def dataset_hash(data: Dataset) -> str:
     """sha256 over each run's z, u and x_full bytes in turn."""
     h = hashlib.sha256()
-    for traj in data.runs():
-        h.update(traj.z)
-        h.update(traj.u)
-        h.update(traj.x_full)
+    ends = np.cumsum(data.lengths).tolist()
+    for start, end in zip([0] + ends, ends):
+        h.update(data.z[start:end])
+        h.update(data.u[start:end])
+        h.update(data.x_full[start:end])
     return h.hexdigest()
 
 

@@ -6,6 +6,7 @@ import multiprocessing
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from occball.sac import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
+    _Adam,
     _critic_loss_grads,
     _policy_loss_grads,
     _soft_update,
@@ -77,8 +79,11 @@ def margin_batch(rng, q1, q2, policy, H=3, B=5):
         a = rng.uniform(-1.5, 1.5, B)
         y = rng.uniform(-1, 1, B)
         xi = rng.standard_normal(B)
-        _, cache = q1.forward(np.concatenate([s, a[:, None]], axis=1), need_cache=True)
-        if not all(np.abs(cache[2 * i + 1]).min() > 1e-3 for i in range(2)):
+        pre, h = [], np.concatenate([s, a[:, None]], axis=1)
+        for W, b in zip(q1.Ws[:-1], q1.bs[:-1]):
+            pre.append(h @ W + b)
+            h = np.maximum(pre[-1], 0.0)
+        if not all(np.abs(z).min() > 1e-3 for z in pre):
             continue
         act, _ = policy.sample(s, xi)
         x = np.concatenate([s, act[:, None]], axis=1)
@@ -167,6 +172,35 @@ def pushed_window(observations, H):
     return window
 
 
+def traced(fn):
+    """fn() under tracemalloc: its result, the peak bytes above the start, the bytes still held."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+def old_adam(params, grad_steps, lr):
+    """Reference: the Adam step that copied each gradient and allocated every intermediate."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        b1t = 1.0 - beta1**t
+        b2t = 1.0 - beta2**t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            g = g.astype(p.dtype)
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * np.square(g)
+            p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + eps)
+
+
 class TestSacConfig:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0),
@@ -210,6 +244,16 @@ class TestHistoryState:
 
     def test_partial_fill(self):
         assert np.allclose(pushed_window([5, 7], 4), [5, 5, 5, 7])
+
+    def test_shift_matches_roll(self):
+        ys = substream(19, "shift").standard_normal(50)
+        controller = PolicyController(GaussianPolicy(8, (4,), 2.0, substream(0, "history")))
+        expected = np.full(8, ys[0], dtype=np.float32)
+        controller._push(ys[0])
+        for y in ys[1:]:
+            expected = np.roll(expected, -1)
+            expected[-1] = y
+            assert controller._push(y).tobytes() == expected.tobytes()
 
 
 class TestPolicy:
@@ -287,6 +331,59 @@ class TestGradients:
             worst_p = max(worst_p, rel_p)
         assert worst_c < 1e-4
         assert worst_p < 1e-4
+
+
+class TestInPlace:
+    """The default-width networks and Adam allocate only what their arithmetic needs.
+
+    Each test runs on the calling thread, without the update's thread pool.
+    """
+
+    SQUARE = 256 * 256 * 4  # bytes of one 256 x 256 float32 array
+
+    def test_cached_forward_keeps_only_layer_inputs(self):
+        net = Mlp((201, 256, 256, 1), substream(20, "net"))
+        x = substream(20, "x").standard_normal((256, 201)).astype(np.float32)
+        (_, cache), _, held = traced(lambda: net.forward(x, need_cache=True))
+        assert [a.shape for a in cache] == [(256, 201), (256, 256), (256, 256)]
+        assert round(held / self.SQUARE) == 2  # a1 and a2; z1 and z2 are no longer kept
+
+    def test_forward_leaves_input_unchanged(self):
+        net = Mlp((201, 256, 256, 1), substream(21, "net"))
+        x = substream(21, "x").standard_normal((256, 201)).astype(np.float32)
+        before = x.tobytes()
+        _, cache = net.forward(x, need_cache=True)
+        assert cache[0] is x
+        assert x.tobytes() == before
+
+    def test_adam_peaks_at_two_parameter_sizes(self):
+        rng = substream(22, "adam")
+        p = rng.standard_normal((256, 256)).astype(np.float32)
+        g = rng.standard_normal((256, 256)).astype(np.float32)
+        opt = _Adam([p], 3e-4)
+        _, peak, _ = traced(lambda: opt.update([p], [g]))
+        assert round(peak / self.SQUARE) == 2
+
+    @pytest.mark.parametrize("p_dtype, g_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    ])
+    def test_adam_matches_old_expression_bitwise(self, p_dtype, g_dtype):
+        rng = substream(23, "adam-bytes")
+        shapes = [(7, 5), (5,), (5, 1), (1,)]
+        params = [rng.standard_normal(shape).astype(p_dtype) for shape in shapes]
+        grad_steps = [[rng.standard_normal(shape).astype(g_dtype) for shape in shapes]
+                      for _ in range(6)]
+        saved = [[g.copy() for g in grads] for grads in grad_steps]
+        expected = [p.copy() for p in params]
+        old_adam(expected, saved, 3e-2)
+        opt = _Adam(params, 3e-2)
+        for grads in grad_steps:
+            opt.update(params, grads)
+        for p, e in zip(params, expected):
+            assert p.dtype == e.dtype and p.tobytes() == e.tobytes()
+        for grads, copies in zip(grad_steps, saved):
+            for g, c in zip(grads, copies):
+                assert g.tobytes() == c.tobytes()
 
 
 class TestSacUpdate:
