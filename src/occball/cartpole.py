@@ -288,9 +288,9 @@ def simulate(
     and returns the force u.  The episode ends when the cart drifts more than
     h_limit from h_origin or the angle leaves its limit, when the controller
     emits a non-finite force, or after max_steps.  Returns the result, the
-    episode as a one-run Dataset (y, u and pre-step state per step), the
-    state it ended in, and the measurement of that state, taken as the
-    sensor stream's next draw.
+    episode as a one-run Dataset (y, u and pre-step state per step), and the
+    measurement of the state it ended in, taken as the sensor stream's next
+    draw.
     Sensor noise is drawn from rng_sensor in chunks, so its position after
     the call is past the last draw used.
     """
@@ -334,7 +334,7 @@ def simulate(
     x_full = np.fromiter(itertools.chain.from_iterable(xs), float, 4 * n).reshape(-1, 4)
     traj = Dataset(z=np.fromiter(zs, float, n), u=np.fromiter(us, float, n), x_full=x_full,
                    lengths=(n,))
-    return result, traj, state, y_end
+    return result, traj, y_end
 
 
 def run_episode(
@@ -350,7 +350,7 @@ def run_episode(
     the full horizon was survived.
     """
     state, rng_sensor = episode_start(config, sensor, init_state)
-    result, traj, _, _ = simulate(params, config, controller, sensor, state, rng_sensor)
+    result, traj, _ = simulate(params, config, controller, sensor, state, rng_sensor)
     return result, traj
 
 

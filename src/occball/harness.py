@@ -302,7 +302,7 @@ def _rl_cell(spec, out: Path, params, tier, run):
     config = SacConfig(seed=run_seed, alpha=ALPHA_BY_TIER[tier])
     outcome = train(params, sensor, config, max_episodes=spec.rl_max_episodes)
     write_curve(out / f"rl_curve_{fix}_{tier}_{run}.csv", outcome.curve)
-    ev = evaluate(PolicyController(outcome.agent), params, sensor, spec.n_eval_episodes,
+    ev = evaluate(PolicyController(outcome.agent.policy), params, sensor, spec.n_eval_episodes,
                   seed=run_seed)
     row = _blank_row("rl", fix, tier, 0, run, run_seed)
     row["feasible"] = True

@@ -1,13 +1,15 @@
 """Soft actor-critic over fixed-length measurement histories.
 
-The agent state is the window of the last H sensor readings.  Policy and
-twin critics are small dense networks whose forward and reverse passes are
-written out explicitly for this fixed architecture; an adaptive-moment
-optimizer drives the updates and finite-difference checks in the test suite
-guard every gradient.  A cached forward pass keeps only each layer's input
-(x, then each hidden ReLU output, written over its pre-activation), and the
-optimizer runs its step through two temporaries per parameter without
-copying the gradient, so an update allocates little beyond its arithmetic.
+The agent state is the window of the last H sensor readings; it reaches the
+policy network by one of two paths, PolicyController.act for the deterministic
+action c * tanh(mean) and SacAgent.act for a sampled one.  Policy and twin
+critics are small dense networks whose forward and reverse passes are written
+out explicitly for this fixed architecture; an adaptive-moment optimizer
+drives the updates and finite-difference checks in the test suite guard every
+gradient.  A cached forward pass keeps only each layer's input (x, then each
+hidden ReLU output, written over its pre-activation), and the optimizer runs
+its step through two temporaries per parameter without copying the gradient,
+so an update allocates little beyond its arithmetic.
 
 Each update has two branches that share no data: the critic targets and
 losses, and the policy loss, which reads the critics but not their targets.
@@ -23,6 +25,7 @@ faulted in again.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -117,14 +120,6 @@ class Mlp:
             out.append(W)
             out.append(b)
         return out
-
-    def copy(self) -> "Mlp":
-        clone = object.__new__(Mlp)
-        clone.sizes = self.sizes
-        clone.dtype = self.dtype
-        clone.Ws = [W.copy() for W in self.Ws]
-        clone.bs = [b.copy() for b in self.bs]
-        return clone
 
     def forward(self, x: np.ndarray, need_cache: bool = False):
         a = np.asarray(x, dtype=self.dtype)
@@ -235,32 +230,11 @@ class GaussianPolicy:
             2.0 * (0.0 - LOG_STD_MIN) / (LOG_STD_MAX - LOG_STD_MIN) - 1.0
         )
 
-    def heads(self, states, need_cache=False):
-        if need_cache:
-            out, cache = self.net.forward(states, need_cache=True)
-        else:
-            out = self.net.forward(states)
-            cache = None
-        mu = out[:, 0]
-        raw = out[:, 1]
-        return mu, raw, cache
-
     def sample(self, states, xi):
         """Reparameterized actions and their log densities for noise xi."""
-        mu, raw, _ = self.heads(states)
-        _, _, action, log_p = _squashed_gaussian(mu, raw, xi, self.action_limit)
+        out = self.net.forward(states)
+        _, _, action, log_p = _squashed_gaussian(out[:, 0], out[:, 1], xi, self.action_limit)
         return action, log_p
-
-    def act(self, state, rng: np.random.Generator | None = None, deterministic: bool = False):
-        s = np.asarray(state, dtype=self.net.dtype).reshape(1, -1)
-        if deterministic:
-            mu, _, _ = self.heads(s)
-            return float(self.action_limit * np.tanh(mu[0]))
-        if rng is None:
-            raise ValueError("stochastic action sampling needs an RNG")
-        xi = rng.standard_normal(1)
-        action, _ = self.sample(s, xi.astype(self.net.dtype))
-        return float(action[0])
 
 
 class SacAgent:
@@ -275,25 +249,27 @@ class SacAgent:
         )
         self.q1 = Mlp((H + 1,) + hw + (1,), substream(config.seed, "init-q1"), dtype)
         self.q2 = Mlp((H + 1,) + hw + (1,), substream(config.seed, "init-q2"), dtype)
-        self.q1_targ = self.q1.copy()
-        self.q2_targ = self.q2.copy()
+        self.q1_targ = copy.deepcopy(self.q1)
+        self.q2_targ = copy.deepcopy(self.q2)
         self.opt_policy = _Adam(self.policy.net.parameters(), config.learning_rate)
         self.opt_q1 = _Adam(self.q1.parameters(), config.learning_rate)
         self.opt_q2 = _Adam(self.q2.parameters(), config.learning_rate)
 
-    def act(self, state, rng=None, deterministic=False) -> float:
-        return self.policy.act(state, rng=rng, deterministic=deterministic)
+    def act(self, state, rng: np.random.Generator) -> float:
+        """The behaviour policy's action: one draw of xi, one sampled action for state."""
+        xi = rng.standard_normal(1).astype(self.policy.net.dtype)
+        action, _ = self.policy.sample(np.reshape(state, (1, -1)), xi)
+        return float(action[0])
 
 
 def _critic_loss_grads(critic: Mlp, s, a, y):
     """Mean-squared Bellman error and its parameter gradients."""
     x = np.concatenate([s, a[:, None]], axis=1)
     q, cache = critic.forward(x, need_cache=True)
-    q = q[:, 0]
-    err = q - y
+    err = q[:, 0] - y
     loss = float(np.mean(err**2))
     dy = (2.0 / len(y)) * err[:, None]
-    return loss, critic.backward(cache, dy), q
+    return loss, critic.backward(cache, dy)
 
 
 def _policy_loss_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, s, xi, alpha):
@@ -305,8 +281,9 @@ def _policy_loss_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, s, xi, alpha):
     """
     B = len(s)
     c = policy.action_limit
-    mu, raw, cache = policy.heads(s, need_cache=True)
-    std, th, action, log_p = _squashed_gaussian(mu, raw, xi, c)
+    out, cache = policy.net.forward(s, need_cache=True)
+    raw = out[:, 1]
+    std, th, action, log_p = _squashed_gaussian(out[:, 0], raw, xi, c)
 
     x = np.concatenate([s, action[:, None]], axis=1)
     qv1, cache1 = q1.forward(x, need_cache=True)
@@ -400,7 +377,7 @@ def sac_update(agent: SacAgent, batch: dict, rng: np.random.Generator):
         return _policy_loss_grads(agent.policy, agent.q1, agent.q2, s, xi, config.alpha)
 
     critics, (loss_pi, grads_pi, diag) = _in_parallel(critic_branch, policy_branch)
-    (loss_q1, grads_q1, _), (loss_q2, grads_q2, _) = critics
+    (loss_q1, grads_q1), (loss_q2, grads_q2) = critics
     if not (math.isfinite(loss_q1) and math.isfinite(loss_q2) and math.isfinite(loss_pi)):
         raise RuntimeError(
             f"non-finite SAC losses (q1={loss_q1}, q2={loss_q2}, pi={loss_pi}); update rejected"
@@ -526,7 +503,7 @@ def train(
     for episode, rng in zip(range(max_episodes), substreams(config.seed, "train-episode")):
         ep_config = replace(env_config, seed=int(rng.integers(0, 2**63 - 1)))
         state, rng_sensor = episode_start(ep_config, sensor)
-        result, traj, _, y_end = simulate(params, ep_config, actor, sensor, state, rng_sensor)
+        result, traj, y_end = simulate(params, ep_config, actor, sensor, state, rng_sensor)
         if result.cause == "nonfinite_action":
             raise RuntimeError(
                 f"policy emitted the non-finite action {traj.u[-1]} "
@@ -555,10 +532,10 @@ def train(
 
 
 class PolicyController(Controller):
-    """Deterministic evaluation wrapper: history window in, squashed mean out."""
+    """A policy's deterministic action: history window in, c * tanh(mean) out."""
 
-    def __init__(self, agent_or_policy):
-        self.policy = getattr(agent_or_policy, "policy", agent_or_policy)
+    def __init__(self, policy: GaussianPolicy):
+        self.policy = policy
         self.H = self.policy.net.sizes[0]
         self._window = None
 
@@ -574,7 +551,8 @@ class PolicyController(Controller):
         return self._window
 
     def act(self, y: float) -> float:
-        return self.policy.act(self._push(y), deterministic=True)
+        out = self.policy.net.forward(self._push(y).reshape(1, -1))
+        return float(self.policy.action_limit * np.tanh(out[0, 0]))
 
 
 class _TrainingActor(PolicyController):
@@ -586,7 +564,7 @@ class _TrainingActor(PolicyController):
     """
 
     def __init__(self, agent: SacAgent):
-        super().__init__(agent)
+        super().__init__(agent.policy)
         self.agent = agent
         self.buffer = ReplayBuffer(agent.config.buffer_capacity, agent.config.history_len)
         seed = agent.config.seed
@@ -604,7 +582,7 @@ class _TrainingActor(PolicyController):
         c = self.agent.config
         if self.total_steps < c.warmup_steps:
             return float(self.rng_warmup.uniform(-c.action_limit, c.action_limit))
-        return self.agent.act(window, rng=self.rng_act)
+        return self.agent.act(window, self.rng_act)
 
     def settle(self) -> None:
         """Count the step the last action took and run the updates it owes."""
@@ -641,6 +619,7 @@ def save_policy(path, policy: GaussianPolicy, metadata: dict | None = None) -> N
 
 
 def load_policy(path) -> GaussianPolicy:
+    """The saved policy, its blob cut by the shapes of "sizes" (the file's "shapes" is not read)."""
     path = Path(path)
     with open(path) as f:
         arch = json.load(f)
@@ -648,14 +627,13 @@ def load_policy(path) -> GaussianPolicy:
     policy = GaussianPolicy(
         sizes[0], tuple(sizes[1:-1]), arch["action_limit"], substream(0, "load"), np.float32
     )
-    raw = (path.parent / arch["blob"]).read_bytes()
-    flat = np.frombuffer(raw, dtype=np.float32)
-    offset = 0
+    flat = np.frombuffer((path.parent / arch["blob"]).read_bytes(), dtype=np.float32)
     params = policy.net.parameters()
-    for p, shape in zip(params, arch["shapes"]):
-        count = int(np.prod(shape))
-        p[...] = flat[offset : offset + count].reshape(shape)
-        offset += count
-    if offset != len(flat):
-        raise ValueError("weight blob size does not match the architecture")
+    expected = sum(p.size for p in params)
+    if len(flat) != expected:
+        raise ValueError(f"weight blob holds {len(flat)} floats, but sizes {sizes} need {expected}")
+    offset = 0
+    for p in params:
+        p[...] = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
     return policy

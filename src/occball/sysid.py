@@ -136,8 +136,8 @@ class _Excitation(Controller):
 def _collect_one(params, sensor, config, rng_init, rng_excite, rng_sensor=None):
     """One excitation run from its init, excitation and (noisy tiers only) sensor generators."""
     state = sample_initial_state(config, rng_init)
-    _, traj, _, _ = simulate(params, config, _Excitation(rng_excite), sensor, state, rng_sensor,
-                             h_origin=state.h)
+    _, traj, _ = simulate(params, config, _Excitation(rng_excite), sensor, state, rng_sensor,
+                          h_origin=state.h)
     return traj
 
 

@@ -298,7 +298,7 @@ def test_criterion_8_sac_gradient_checks():
         q2 = Mlp((4, 4, 4, 1), rng, dtype=np.float64)
         policy = GaussianPolicy(3, (4, 4), 2.0, rng, dtype=np.float64)
         s, a, y, xi = margin_batch(rng, q1, q2, policy)
-        _, grads, _ = _critic_loss_grads(q1, s, a, y)
+        _, grads = _critic_loss_grads(q1, s, a, y)
         fd = fd_gradient(lambda: _critic_loss_grads(q1, s, a, y)[0], q1.parameters())
         worst = max(worst, np.max(np.abs(flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-6)))
         _, grads_p, _ = _policy_loss_grads(policy, q1, q2, s, xi, 0.2)

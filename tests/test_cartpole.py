@@ -169,7 +169,7 @@ class TestStep:
 
 def first_reading(p, sensor, state):
     """The measurement simulate takes of state, before any force acts."""
-    _, traj, _, _ = simulate(p, EpisodeConfig(max_steps=1), ZeroController(), sensor, state, None)
+    _, traj, _ = simulate(p, EpisodeConfig(max_steps=1), ZeroController(), sensor, state, None)
     return traj.z[0]
 
 
@@ -197,8 +197,8 @@ class TestObserve:
     def test_noise_statistics(self):
         p = PhysicalParams()
         sensor = make_sensor("rgb_like", p)
-        _, traj, _, _ = simulate(p, EpisodeConfig(max_steps=4000), ZeroController(), sensor,
-                                 SimState(), substream(0, SENSOR_STREAM))
+        _, traj, _ = simulate(p, EpisodeConfig(max_steps=4000), ZeroController(), sensor,
+                              SimState(), substream(0, SENSOR_STREAM))
         x = traj.x_full
         draws = traj.z - (x[:, 0] + p.ell0 * np.sin(x[:, 2]))
         assert len(draws) == 4000
@@ -321,9 +321,9 @@ class TestRunEpisode:
 
     def test_measurement_matches_observe(self):
         # simulate computes y inline from chunked draws; replaying its recorded
-        # states, then the state it ended in, through y = h + ell0 sin(theta) +
-        # sigma * noise with scalar draws from a fresh copy of the sensor
-        # substream gives the same bits.  From rest with no force
+        # states, then the state one step past the last, through y = h + ell0
+        # sin(theta) + sigma * noise with scalar draws from a fresh copy of the
+        # sensor substream gives the same bits.  From rest with no force
         # the pole stays up, so max_steps puts the end on each side of a chunk
         p = PhysicalParams(ell0=0.8)
         sensor = make_sensor("rgb_like", p)
@@ -331,7 +331,8 @@ class TestRunEpisode:
         for max_steps, start in cases:
             cfg = EpisodeConfig(seed=17, max_steps=max_steps)
             state, rng_sensor = episode_start(cfg, sensor, start)
-            _, traj, final, y_end = simulate(p, cfg, ZeroController(), sensor, state, rng_sensor)
+            _, traj, y_end = simulate(p, cfg, ZeroController(), sensor, state, rng_sensor)
+            final = step(p, SimState(*traj.x_full[-1]), traj.u[-1])
             rng = substream(cfg.seed, SENSOR_STREAM)
 
             def reading(st):
@@ -346,10 +347,11 @@ class TestRunEpisode:
         cfg = EpisodeConfig(max_steps=50)
         sensor = make_sensor("noise_free", p)
         start = SimState(h=1.0)
-        result, traj, final, _ = simulate(p, cfg, ZeroController(), sensor, start, None)
+        result, traj, _ = simulate(p, cfg, ZeroController(), sensor, start, None)
         assert (result.cause, result.steps, len(traj)) == ("h_limit", 0, 1)
-        result, traj, final, y_end = simulate(p, cfg, ZeroController(), sensor, start, None,
-                                              h_origin=1.0)
+        result, traj, y_end = simulate(p, cfg, ZeroController(), sensor, start, None,
+                                       h_origin=1.0)
+        final = step(p, SimState(*traj.x_full[-1]), traj.u[-1])
         assert result.success and len(traj) == 50 and final == start and y_end == 1.0
 
     def test_max_reward_is_500(self):

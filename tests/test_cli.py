@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from occball.cli import main
+from occball.rngtools import substream
+from occball.sac import GaussianPolicy, save_policy
 
 
 @pytest.fixture
@@ -142,6 +144,20 @@ class TestTrainRl:
             "--episodes", "2", "--no-max-angle",
         ])
         assert report.exit_code == 0, report.output
+
+    def test_policy_blob_cut_to_wrong_shapes_is_a_usage_error(self, runner, tmp_path):
+        # the file's "shapes" lists the first weight as 1 x 3 and the blob is cut to match
+        path = tmp_path / "policy.json"
+        save_policy(path, GaussianPolicy(4, (3,), 10.0, substream(20, "ckpt")))
+        arch = json.loads(path.read_text())
+        arch["shapes"][0] = [1, 3]
+        path.write_text(json.dumps(arch))
+        blob = tmp_path / "policy.bin"
+        blob.write_bytes(blob.read_bytes()[3 * 4 * 3:])
+        result = runner.invoke(main, ["eval", "--controller", str(path), "--episodes", "1",
+                                      "--no-max-angle"])
+        assert result.exit_code == 2, result.output
+        assert "--controller" in result.output and "holds 14 floats" in result.output
 
     def test_no_episodes_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "rl_out"

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import json
 import math
 import multiprocessing
 import subprocess
@@ -105,8 +106,8 @@ def serial_update(agent, batch, rng):
     q1t = agent.q1_targ.forward(x2)[:, 0]
     q2t = agent.q2_targ.forward(x2)[:, 0]
     y = r + config.gamma_discount * (1.0 - d) * (np.minimum(q1t, q2t) - config.alpha * log_p2)
-    loss_q1, grads_q1, _ = _critic_loss_grads(agent.q1, s, a, y)
-    loss_q2, grads_q2, _ = _critic_loss_grads(agent.q2, s, a, y)
+    loss_q1, grads_q1 = _critic_loss_grads(agent.q1, s, a, y)
+    loss_q2, grads_q2 = _critic_loss_grads(agent.q2, s, a, y)
     xi = rng.standard_normal(B).astype(dtype)
     loss_pi, grads_pi, diag = _policy_loss_grads(
         agent.policy, agent.q1, agent.q2, s, xi, config.alpha
@@ -170,6 +171,33 @@ def pushed_window(observations, H):
     for y in observations:
         window = controller._push(y)
     return window
+
+
+def act_on_window(controller, state):
+    """PolicyController's action once, after a reset, its window holds state."""
+    controller.reset()
+    for y in state:
+        action = controller.act(y)
+    return action
+
+
+def old_deterministic_action(policy, state):
+    """Reference for PolicyController.act: the former deterministic GaussianPolicy.act."""
+    s = np.asarray(state, dtype=policy.net.dtype).reshape(1, -1)
+    out = policy.net.forward(s)
+    mu = out[:, 0]
+    return float(policy.action_limit * np.tanh(mu[0]))
+
+
+def old_sampled_action(policy, state, rng):
+    """Reference for SacAgent.act: the former GaussianPolicy.act(state, rng)."""
+    s = np.asarray(state, dtype=policy.net.dtype).reshape(1, -1)
+    xi = rng.standard_normal(1)
+    out = policy.net.forward(s)
+    _, _, action, _ = sacmod._squashed_gaussian(
+        out[:, 0], out[:, 1], xi.astype(policy.net.dtype), policy.action_limit
+    )
+    return float(action[0])
 
 
 def traced(fn):
@@ -275,8 +303,9 @@ class TestPolicy:
         rng = substream(2, "pure")
         policy = GaussianPolicy(4, (8, 8), 10.0, rng)
         state = np.array([0.1, -0.2, 0.3, 0.0])
-        a1 = policy.act(state, deterministic=True)
-        a2 = policy.act(state, deterministic=True)
+        controller = PolicyController(policy)
+        a1 = act_on_window(controller, state)
+        a2 = act_on_window(controller, state)
         assert a1 == a2
 
     def test_zero_weights_zero_action(self):
@@ -284,13 +313,12 @@ class TestPolicy:
         policy = GaussianPolicy(4, (8, 8), 10.0, rng)
         for p in policy.net.parameters():
             p[...] = 0.0
-        assert policy.act(np.ones(4), deterministic=True) == 0.0
+        assert act_on_window(PolicyController(policy), np.ones(4)) == 0.0
 
     def test_stochastic_needs_rng(self):
-        rng = substream(4, "needs-rng")
-        policy = GaussianPolicy(4, (8, 8), 10.0, rng)
-        with pytest.raises(ValueError):
-            policy.act(np.ones(4))
+        agent = SacAgent(replace(TINY, seed=4))
+        with pytest.raises(TypeError):
+            agent.act(np.ones(4))
 
     def test_log_density_normalizes(self):
         # integrate the squashed density over the action range by the
@@ -298,7 +326,8 @@ class TestPolicy:
         rng = substream(5, "density")
         policy = GaussianPolicy(3, (6, 6), 2.0, rng, dtype=np.float64)
         s = rng.uniform(-1, 1, (1, 3))
-        mu, raw, _ = policy.heads(s)
+        out = policy.net.forward(s)
+        mu, raw = out[:, 0], out[:, 1]
         log_std = sacmod._log_std_from_raw(raw)
         grid = np.linspace(mu[0] - 10 * np.exp(log_std[0]), mu[0] + 10 * np.exp(log_std[0]), 200001)
         xi = (grid - mu[0]) / np.exp(log_std[0])
@@ -318,7 +347,7 @@ class TestGradients:
             q2 = Mlp((4, 4, 4, 1), rng, dtype=np.float64)
             policy = GaussianPolicy(3, (4, 4), 2.0, rng, dtype=np.float64)
             s, a, y, xi = margin_batch(rng, q1, q2, policy)
-            _, grads, _ = _critic_loss_grads(q1, s, a, y)
+            _, grads = _critic_loss_grads(q1, s, a, y)
             fd = fd_gradient(lambda: _critic_loss_grads(q1, s, a, y)[0], q1.parameters())
             rel = np.max(np.abs(flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-6))
             worst_c = max(worst_c, rel)
@@ -869,7 +898,7 @@ class TestLearnability:
             lengths.append(len(acts))
         assert np.mean(lengths[-60:]) > 18.0
         start = np.zeros(2, dtype=np.float32)
-        det = agent.act(start, deterministic=True)
+        det = act_on_window(PolicyController(agent.policy), start)
         assert abs(det) <= 1.0
         q0 = agent.q1.forward(np.concatenate([start, [det]]).reshape(1, -1))[0, 0]
         ideal = (1 - 0.95**20) / 0.05
@@ -883,6 +912,76 @@ class TestCheckpoint:
         save_policy(tmp_path / "policy.json", policy, metadata={"note": "test"})
         loaded = load_policy(tmp_path / "policy.json")
         state = np.linspace(-1, 1, 6)
-        assert policy.act(state, deterministic=True) == loaded.act(state, deterministic=True)
+        assert (act_on_window(PolicyController(policy), state)
+                == act_on_window(PolicyController(loaded), state))
         for p1, p2 in zip(policy.net.parameters(), loaded.net.parameters()):
             assert np.array_equal(p1, p2)
+
+    def test_blob_cut_to_wrong_shapes_rejected(self, tmp_path):
+        # a file whose "shapes" lists the first weight as 1 x 3, with a blob cut
+        # to match, once loaded as four equal rows broadcast from that one
+        policy = GaussianPolicy(4, (3,), 10.0, substream(20, "ckpt"))
+        path = tmp_path / "policy.json"
+        save_policy(path, policy)
+        arch = json.loads(path.read_text())
+        arch["shapes"][0] = [1, 3]
+        path.write_text(json.dumps(arch))
+        blob = tmp_path / "policy.bin"
+        blob.write_bytes(blob.read_bytes()[3 * 4 * 3:])  # drop three of the four rows
+        with pytest.raises(ValueError, match=r"holds 14 floats, but sizes \[4, 3, 2\] need 23"):
+            load_policy(path)
+
+
+class TestActionPaths:
+    """Both action paths give the bytes GaussianPolicy.act gave."""
+
+    @staticmethod
+    def policy(dtype=np.float32):
+        rng = substream(21, "action-paths")
+        policy = GaussianPolicy(16, (32, 32), 10.0, rng, dtype)
+        for p in policy.net.parameters():
+            p += (0.3 * rng.standard_normal(p.shape)).astype(dtype)
+        return policy
+
+    @staticmethod
+    def controller_run(controller, dtype, reference):
+        """Hex actions of controller over three episodes, and of reference on the same windows."""
+        got, expected = [], []
+        rng = substream(22, "action-paths-obs")
+        for length in (5, 40, 23):
+            controller.reset()
+            ys = rng.standard_normal(length)
+            window = np.full(controller.H, ys[0], dtype=dtype)
+            for i, y in enumerate(ys):
+                if i:
+                    window = np.roll(window, -1)
+                    window[-1] = y
+                got.append(controller.act(y).hex())
+                expected.append(reference(window).hex())
+        return got, expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_policy_controller_matches_old_expression(self, dtype):
+        policy = self.policy(dtype)
+        got, expected = self.controller_run(
+            PolicyController(policy), dtype, lambda w: old_deterministic_action(policy, w)
+        )
+        assert got == expected and len(set(got)) == len(got)
+
+    def test_policy_controller_after_checkpoint_roundtrip(self, tmp_path):
+        policy = self.policy()
+        save_policy(tmp_path / "policy.json", policy)
+        loaded = PolicyController(load_policy(tmp_path / "policy.json"))
+        got, expected = self.controller_run(
+            loaded, np.float32, lambda w: old_deterministic_action(policy, w)
+        )
+        assert got == expected
+
+    def test_agent_act_matches_old_expression(self):
+        agent = SacAgent(replace(TINY, history_len=16, hidden_widths=(32, 32), seed=8))
+        rng_new, rng_old = substream(23, "action-paths-act"), substream(23, "action-paths-act")
+        states = substream(24, "action-paths-states").standard_normal((50, 16)).astype(np.float32)
+        got = [agent.act(s, rng_new).hex() for s in states]
+        expected = [old_sampled_action(agent.policy, s, rng_old).hex() for s in states]
+        assert got == expected and len(set(got)) == len(got)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
