@@ -38,7 +38,6 @@ __all__ = [
     "step",
     "linearize",
     "sample_initial_state",
-    "episode_start",
     "simulate",
     "run_episode",
     "save_trajectory",
@@ -256,23 +255,6 @@ def sample_initial_state(config: EpisodeConfig, rng: np.random.Generator) -> Sim
     return SimState(*rng.uniform(-w, w, size=4).tolist())
 
 
-def episode_start(
-    config: EpisodeConfig,
-    sensor: SensorSpec,
-    init_state: SimState | None = None,
-) -> tuple[SimState, np.random.Generator | None]:
-    """Start state and sensor RNG of the episode seeded by config.seed.
-
-    The state is drawn from the "init" substream unless init_state is given,
-    and the sensor RNG is None on a noise-free tier: a substream costs about
-    10 us to seed, so only the ones drawn from are made.
-    """
-    rng_sensor = substream(config.seed, SENSOR_STREAM) if sensor.sigma > 0.0 else None
-    if init_state is None:
-        init_state = sample_initial_state(config, substream(config.seed, "init"))
-    return init_state, rng_sensor
-
-
 def simulate(
     params: PhysicalParams,
     config: EpisodeConfig,
@@ -346,12 +328,15 @@ def run_episode(
 ):
     """Simulate one episode from config.seed's "init" and sensor substreams.
 
-    Reward equals the number of steps survived inside the box; success means
-    the full horizon was survived.
+    Returns simulate's (result, run, y_end).  Reward equals the number of steps
+    survived inside the box; success means the full horizon was survived.  Only
+    the substreams the episode draws from are seeded (about 10 us each): none
+    for the sensor on a noise-free tier, and no "init" when init_state is given.
     """
-    state, rng_sensor = episode_start(config, sensor, init_state)
-    result, traj, _ = simulate(params, config, controller, sensor, state, rng_sensor)
-    return result, traj
+    rng_sensor = substream(config.seed, SENSOR_STREAM) if sensor.sigma > 0.0 else None
+    if init_state is None:
+        init_state = sample_initial_state(config, substream(config.seed, "init"))
+    return simulate(params, config, controller, sensor, init_state, rng_sensor)
 
 
 _TRAJ_COLUMNS = ("t", "h", "h_dot", "theta", "theta_dot", "u", "y")

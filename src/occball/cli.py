@@ -112,7 +112,7 @@ def simulate_cmd(fixation, sensor, controller_path, seed, out_dir):
     config = EpisodeConfig(seed=seed)
     spec = make_sensor(SENSOR_ALIASES[sensor], params)
     controller = _load_any_controller(controller_path) if controller_path else ZeroController()
-    result, traj = run_episode(params, config, controller, spec)
+    result, traj, _ = run_episode(params, config, controller, spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory(out / "trajectory.csv", traj,

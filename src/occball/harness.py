@@ -149,8 +149,7 @@ def evaluate(
     # episode i's seed is substream_seed(seed, "eval-episode", i)
     for _, rng in zip(range(n_episodes), substreams(seed, "eval-episode")):
         cfg = replace(base, seed=int(rng.integers(0, 2**63 - 1)))
-        result, _ = run_episode(params, cfg, controller, sensor)
-        episodes.append(result)
+        episodes.append(run_episode(params, cfg, controller, sensor)[0])
     rewards = [r.reward for r in episodes]
     successes = [r.success for r in episodes]
     return EvalResult(

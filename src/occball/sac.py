@@ -20,7 +20,8 @@ same order, and every BLAS call stays on one thread, so training is bit for
 bit the same as a serial run and fully determined by the seed.  The last
 task sent to the pool is held until the next one or the end of train, so the
 arrays it reaches stay allocated between updates instead of being trimmed and
-faulted in again.
+faulted in again.  Training runs each episode as one cartpole.run_episode
+call, the entry evaluation uses too, with the behaviour policy as controller.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .cartpole import (
     SensorSpec,
     check_count,
     check_fields,
-    episode_start,
-    simulate,
+    run_episode,
 )
 from .controllers import Controller
 from .rngtools import substream, substreams
@@ -222,8 +222,9 @@ class GaussianPolicy:
     """
 
     def __init__(self, history_len, hidden_widths, action_limit, rng, dtype=np.float32):
-        self.net = Mlp((history_len,) + tuple(hidden_widths) + (2,), rng, dtype)
         self.action_limit = float(action_limit)
+        check_fields(self, positive=("action_limit",))
+        self.net = Mlp((history_len,) + tuple(hidden_widths) + (2,), rng, dtype)
         # start the policy near unit standard deviation: bias the raw
         # log-std head to the preimage of log_std = 0 under the rescaling
         self.net.bs[-1][1] = np.arctanh(
@@ -485,7 +486,8 @@ def train(
     improves against starts at _PLATEAU_FLOOR - plateau_window: on this task
     useful reward signal routinely appears later than any 500-episode
     cold-start window, and the random-action warmup phase would otherwise
-    plant an unbeatable early reference.
+    plant an unbeatable early reference.  Each episode is one run_episode call,
+    whose y_end closes the episode's observations in the replay buffer.
     """
     global _held
     check_count("max_episodes", max_episodes, 1)
@@ -502,8 +504,7 @@ def train(
     # episode i's seed is substream_seed(config.seed, "train-episode", i)
     for episode, rng in zip(range(max_episodes), substreams(config.seed, "train-episode")):
         ep_config = replace(env_config, seed=int(rng.integers(0, 2**63 - 1)))
-        state, rng_sensor = episode_start(ep_config, sensor)
-        result, traj, y_end = simulate(params, ep_config, actor, sensor, state, rng_sensor)
+        result, traj, y_end = run_episode(params, ep_config, actor, sensor)
         if result.cause == "nonfinite_action":
             raise RuntimeError(
                 f"policy emitted the non-finite action {traj.u[-1]} "
@@ -556,7 +557,7 @@ class PolicyController(Controller):
 
 
 class _TrainingActor(PolicyController):
-    """SAC's behaviour policy inside simulate.
+    """SAC's behaviour policy inside run_episode.
 
     Each act takes a uniform warm-up or a sampled policy action.  The
     sac_updates a taken step owes run at the next act, or at settle() after
@@ -623,6 +624,9 @@ def load_policy(path) -> GaussianPolicy:
     path = Path(path)
     with open(path) as f:
         arch = json.load(f)
+    if arch["log_std_range"] != [LOG_STD_MIN, LOG_STD_MAX]:
+        raise ValueError(f"log_std_range {arch['log_std_range']} is not the fixed "
+                         f"[LOG_STD_MIN, LOG_STD_MAX] = {[LOG_STD_MIN, LOG_STD_MAX]}")
     sizes = arch["sizes"]
     policy = GaussianPolicy(
         sizes[0], tuple(sizes[1:-1]), arch["action_limit"], substream(0, "load"), np.float32

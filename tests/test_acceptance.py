@@ -357,7 +357,7 @@ def test_criterion_10_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
         cfg = EpisodeConfig(seed=77)
-        _, traj = run_episode(params, cfg, ZeroController(), sensor)
+        _, traj, _ = run_episode(params, cfg, ZeroController(), sensor)
         path = tmp_path / f"traj_{name}.csv"
         save_trajectory(path, traj)
         outs.append(path.read_bytes())

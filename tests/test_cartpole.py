@@ -12,7 +12,6 @@ from occball.cartpole import (
     SensorSpec,
     SimState,
     episode_metadata,
-    episode_start,
     linearize,
     make_sensor,
     run_episode,
@@ -264,16 +263,16 @@ class TestRunEpisode:
     def test_equilibrium_survives(self):
         p = PhysicalParams()
         cfg = EpisodeConfig(seed=1)
-        result, traj = run_episode(p, cfg, ZeroController(), make_sensor("noise_free", p),
-                                   init_state=SimState())
+        result, traj, _ = run_episode(p, cfg, ZeroController(), make_sensor("noise_free", p),
+                                      init_state=SimState())
         assert result.success and result.steps == 500 and result.cause == "completed"
         assert len(traj) == 500
 
     def test_open_loop_falls(self):
         p = PhysicalParams()
         cfg = EpisodeConfig(seed=1)
-        result, _ = run_episode(p, cfg, ZeroController(), make_sensor("noise_free", p),
-                                init_state=SimState(theta=math.radians(5.0)))
+        result, _, _ = run_episode(p, cfg, ZeroController(), make_sensor("noise_free", p),
+                                   init_state=SimState(theta=math.radians(5.0)))
         assert not result.success
         assert result.steps < 500
         assert result.cause in ("theta_limit", "h_limit")
@@ -282,8 +281,8 @@ class TestRunEpisode:
         p = PhysicalParams(ell0=0.8)
         cfg = EpisodeConfig(seed=123)
         sensor = make_sensor("depth_like", p)
-        r1, t1 = run_episode(p, cfg, ZeroController(), sensor)
-        r2, t2 = run_episode(p, cfg, ZeroController(), sensor)
+        r1, t1, _ = run_episode(p, cfg, ZeroController(), sensor)
+        r2, t2, _ = run_episode(p, cfg, ZeroController(), sensor)
         assert r1 == r2
         assert np.array_equal(t1.z, t2.z)
         assert np.array_equal(t1.x_full, t2.x_full)
@@ -294,8 +293,8 @@ class TestRunEpisode:
                 return math.nan
 
         p = PhysicalParams()
-        result, traj = run_episode(p, EpisodeConfig(seed=0), BadController(),
-                                   make_sensor("noise_free", p))
+        result, traj, _ = run_episode(p, EpisodeConfig(seed=0), BadController(),
+                                      make_sensor("noise_free", p))
         assert result.cause == "nonfinite_action"
         assert result.steps == 0
         assert len(traj) == 1
@@ -313,7 +312,8 @@ class TestRunEpisode:
                 return 20.0 * y + 2.0 * dy / 0.02
 
         p = PhysicalParams(ell0=0.7)
-        result, traj = run_episode(p, EpisodeConfig(seed=11), Lead(), make_sensor("depth_like", p))
+        result, traj, _ = run_episode(p, EpisodeConfig(seed=11), Lead(),
+                                      make_sensor("depth_like", p))
         assert (result.steps, result.cause) == (43, "theta_limit")
         assert dataset_hash(traj) == (
             "99280f67a996b71d08bb98e0139b375edfbdcac4385c92320e7d925e26164d7a"
@@ -330,8 +330,7 @@ class TestRunEpisode:
         cases = [(500, None)] + [(n, SimState()) for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK)]
         for max_steps, start in cases:
             cfg = EpisodeConfig(seed=17, max_steps=max_steps)
-            state, rng_sensor = episode_start(cfg, sensor, start)
-            _, traj, y_end = simulate(p, cfg, ZeroController(), sensor, state, rng_sensor)
+            _, traj, y_end = run_episode(p, cfg, ZeroController(), sensor, start)
             final = step(p, SimState(*traj.x_full[-1]), traj.u[-1])
             rng = substream(cfg.seed, SENSOR_STREAM)
 
@@ -384,8 +383,8 @@ class TestLtiEpisodePinned:
         return LtiController(syn.controller)
 
     def test_rgb_like_episode(self, controller):
-        result, traj = run_episode(self.PARAMS, EpisodeConfig(seed=13), controller,
-                                   make_sensor("rgb_like", self.PARAMS))
+        result, traj, _ = run_episode(self.PARAMS, EpisodeConfig(seed=13), controller,
+                                      make_sensor("rgb_like", self.PARAMS))
         assert (result.steps, result.cause) == (500, "completed")
         assert dataset_hash(traj) == (
             "0ae7d0eb0ab0f1524683d8ca5d237f12b0fafba7dbe6faa2710839557c2a4fe7"
@@ -401,7 +400,7 @@ class TestTrajectoryIO:
         p = PhysicalParams()
         cfg = EpisodeConfig(seed=5)
         sensor = make_sensor("noise_free", p)
-        result, traj = run_episode(p, cfg, ZeroController(), sensor)
+        result, traj, _ = run_episode(p, cfg, ZeroController(), sensor)
         path = tmp_path / "traj.csv"
         save_trajectory(path, traj, meta=episode_metadata(p, cfg, sensor, result))
         with open(path, newline="") as f:

@@ -159,6 +159,25 @@ class TestTrainRl:
         assert result.exit_code == 2, result.output
         assert "--controller" in result.output and "holds 14 floats" in result.output
 
+    @pytest.mark.parametrize("field, value", [
+        ("action_limit", math.nan),
+        ("action_limit", math.inf),
+        ("action_limit", -10.0),
+        ("log_std_range", [-5, 2]),
+    ])
+    def test_edited_policy_is_a_usage_error(self, runner, tmp_path, field, value):
+        # a non-finite limit made every action NaN or -inf and eval exited 0; a negative
+        # one flipped every action's sign, and another log-std range was never used
+        path = tmp_path / "policy.json"
+        save_policy(path, GaussianPolicy(4, (3,), 10.0, substream(20, "ckpt")))
+        arch = json.loads(path.read_text())
+        arch[field] = value
+        path.write_text(json.dumps(arch))
+        result = runner.invoke(main, ["eval", "--controller", str(path), "--episodes", "1",
+                                      "--no-max-angle"])
+        assert result.exit_code == 2, result.output
+        assert "--controller" in result.output and field in result.output
+
     def test_no_episodes_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "rl_out"
         result = runner.invoke(main, ["train-rl", "--episodes", "0", "--out-dir", str(out)])

@@ -104,8 +104,8 @@ class TestLtiControllerPinned:
         sensor = make_sensor("depth_like", self.PARAMS)
         result = evaluate(lqg_controller(self.PARAMS), self.PARAMS, sensor, 5, seed=3)
         assert [ep.reward for ep in result.episodes] == [500.0, 500.0, 500.0, 66.0, 20.0]
-        _, traj = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
-                              lqg_controller(self.PARAMS), sensor)
+        _, traj, _ = run_episode(self.PARAMS, EpisodeConfig(seed=result.episodes[0].seed),
+                                 lqg_controller(self.PARAMS), sensor)
         assert dataset_hash(traj) == (
             "f5db35cda4525185bf2b29a0754e03328f9703172667f0914372302d559f962f"
         )

@@ -30,6 +30,11 @@ Tests and the benchmark import each name from the module that defines it:
 the top of that module, not a name the module itself imports, so moving a
 definition moves its importers with it.
 
+A seeded episode has one entry, ``cartpole.run_episode``, which evaluation,
+angle probes, the CLI and SAC training all call; only it and the excitation
+runs of ``sysid._collect_one`` (which bring their own block-seeded generators
+and cart origin) call ``cartpole.simulate``.
+
 A dataclass field that nothing reads is a result computed for no one, so every
 field of a dataclass in the package is read as ``.field`` somewhere in the
 package or the benchmark, outside its own class body.
@@ -53,6 +58,7 @@ BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
 CTYPES_HOME = ("linalg.py", "_lapack")
+SIMULATE_CALLERS = {("cartpole", "run_episode"), ("sysid", "_collect_one")}
 
 
 def _is_occball_import(node) -> bool:
@@ -143,6 +149,19 @@ def _imports_of(tree, package):
     return list(visit(tree, None))
 
 
+def _calls_of(tree, name):
+    """(enclosing function name or None, line) of every call of name, bare or as an attribute."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                yield inner, child.lineno
+            yield from visit(child, inner)
+
+    return list(visit(tree, None))
+
+
 def _dataclasses(tree):
     """(class node, field names) of every class decorated with dataclass."""
     for node in ast.walk(tree):
@@ -214,6 +233,12 @@ def test_pencil_eigvals_holds_the_scipy_import():
     tree = ast.parse((PACKAGE / SCIPY_HOME[0]).read_text())
     assert [func for func, _ in _imports_of(tree, "scipy")] == [SCIPY_HOME[1]]
     assert [func for func, _ in _imports_of(tree, "ctypes")] == [CTYPES_HOME[1]]
+
+
+def test_simulate_called_only_by_the_episode_and_excitation_entries():
+    callers = {(path.stem, func) for path in MODULES
+               for func, _ in _calls_of(ast.parse(path.read_text()), "simulate")}
+    assert callers == SIMULATE_CALLERS
 
 
 def test_every_dataclass_field_is_read():

@@ -3,8 +3,9 @@
 bench/run.py patches occball functions in place (every occball module global
 bound to a function, or the method on its class) and counts from the calls:
 ``cartpole.step`` and ``LtiController.act`` once per simulated step,
-``cartpole.run_episode`` once per evaluation episode or angle probe, and the
-``cartpole.step`` calls under ``collect_budget`` as simulated excitation steps.
+``cartpole.run_episode`` once per evaluation episode, angle probe or training
+episode, and the ``cartpole.step`` calls under ``collect_budget`` as simulated
+excitation steps.
 The tests below patch the same way and state those boundaries.  A lockstep
 engine that advances many episodes per call changes every one of these
 counts, so it must land together with a benchmark change that counts steps,
@@ -111,8 +112,8 @@ class NanAfter(LtiController):
 def test_step_and_act_once_per_recorded_step(monkeypatch, seed):
     steps = count_calls(monkeypatch, cartpole.step)
     acts = count_method_calls(monkeypatch, LtiController, "act")
-    result, traj = run_episode(PARAMS, EpisodeConfig(seed=seed), lqg_controller(PARAMS),
-                               make_sensor("rgb_like", PARAMS))
+    result, traj, _ = run_episode(PARAMS, EpisodeConfig(seed=seed), lqg_controller(PARAMS),
+                                  make_sensor("rgb_like", PARAMS))
     assert len(steps) == len(acts) == len(traj)
     assert result.cause != "nonfinite_action"
 
@@ -121,8 +122,8 @@ def test_nonfinite_action_skips_its_step(monkeypatch):
     steps = count_calls(monkeypatch, cartpole.step)
     controller = NanAfter(lqg_controller(PARAMS), 7)
     acts = count_method_calls(monkeypatch, NanAfter, "act")
-    result, traj = run_episode(PARAMS, EpisodeConfig(seed=0), controller,
-                               make_sensor("noise_free", PARAMS))
+    result, traj, _ = run_episode(PARAMS, EpisodeConfig(seed=0), controller,
+                                  make_sensor("noise_free", PARAMS))
     assert result.cause == "nonfinite_action" and len(traj) == 8
     assert len(acts) == len(traj) and len(steps) == len(traj) - 1
 
@@ -180,6 +181,13 @@ def test_excitation_run_creates_only_the_substreams_it_draws(monkeypatch, tier, 
     data = collect_budget(PARAMS, make_sensor(tier, PARAMS), 500, seed=6)
     assert len(drawn) == len(built) == per_run * len(data.lengths)
     assert not single
+
+
+def test_training_runs_one_episode_each(monkeypatch):
+    episodes = count_calls(monkeypatch, cartpole.run_episode)
+    config = SacConfig(history_len=4, hidden_widths=(8, 8), batch_size=8, warmup_steps=10)
+    result = train(PARAMS, make_sensor("depth_like", PARAMS), config, max_episodes=3)
+    assert len(episodes) == len(result.curve) == 3
 
 
 @pytest.mark.parametrize("tier, per_episode", [("noise_free", 0), ("depth_like", 1)])

@@ -931,6 +931,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"holds 14 floats, but sizes \[4, 3, 2\] need 23"):
             load_policy(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("action_limit", math.nan, "action_limit must be finite and positive, got nan"),
+        ("action_limit", math.inf, "action_limit must be finite and positive, got inf"),
+        ("action_limit", 0.0, "action_limit must be finite and positive, got 0.0"),
+        ("action_limit", -10.0, "action_limit must be finite and positive, got -10.0"),
+        ("log_std_range", [-5, 2],
+         r"log_std_range \[-5, 2\] .* \[LOG_STD_MIN, LOG_STD_MAX\] = \[-20.0, 2.0\]"),
+    ])
+    def test_edited_file_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "policy.json"
+        save_policy(path, GaussianPolicy(4, (3,), 10.0, substream(20, "ckpt")))
+        arch = json.loads(path.read_text())
+        arch[field] = value
+        path.write_text(json.dumps(arch))
+        with pytest.raises(ValueError, match=match):
+            load_policy(path)
+
 
 class TestActionPaths:
     """Both action paths give the bytes GaussianPolicy.act gave."""
