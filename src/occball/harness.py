@@ -107,9 +107,11 @@ class ExperimentSpec:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for budget in self.budgets:
             check_count("budgets", budget, 1)
-        # a repeated entry is the same seeded cell again, counted twice in the medians
+        # an empty axis has no cells (RL reads no budgets); a repeat counts a cell twice
         for name in ("fixations", "sensor_tiers", "budgets"):
             values = getattr(self, name)
+            if not values and (name, self.method) != ("budgets", "rl"):
+                raise ValueError(f"{name} is empty; a grid axis needs at least one entry")
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"{name} repeats {v!r}; grid entries must be distinct")
@@ -123,6 +125,8 @@ class ExperimentSpec:
     def from_json(cls, path) -> "ExperimentSpec":
         with open(path) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"a spec must be a JSON object of spec keys, got {raw!r}")
         if unknown := sorted(set(raw) - {f.name for f in fields(cls)}):
             raise ValueError(f"unknown spec keys {unknown}")
         for key in ("fixations", "sensor_tiers", "budgets"):
@@ -221,16 +225,16 @@ def score(model: StateSpaceModel, params: PhysicalParams, sensor: SensorSpec,
     """Score a synthesized controller against the true plant.
 
     Closes the loop with the true linearization (the controller drives the
-    force from the measurement as LtiController runs it), reports its internal
-    stability and ||T||_inf (NaN when the loop is unstable), and bisects the
-    largest initial tilt the controller survives on the nonlinear simulator.
+    force from the measurement as LtiController runs it), reports ||T||_inf
+    (stable exactly when finite, NaN when not), and bisects the largest
+    initial tilt the controller survives on the nonlinear simulator.
     """
-    loop = closed_loop(linearize(params), model)
-    hinf_T = hinf_norm(loop.T) if loop.internally_stable else math.nan
+    hinf_T = hinf_norm(closed_loop(linearize(params), model))
+    stable = hinf_T < math.inf
     angle = max_stabilized_angle(LtiController(model), params, sensor, probe_seed=probe_seed)
     return {
-        "stable_true": loop.internally_stable,
-        "hinf_T": hinf_T,
+        "stable_true": stable,
+        "hinf_T": hinf_T if stable else math.nan,
         "max_angle_deg": angle.angle_deg,
     }
 

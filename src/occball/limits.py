@@ -1,6 +1,9 @@
 """Fundamental-limit calculations: H-infinity norms, the complementary
 sensitivity of a closed loop, and the unstable pole/zero lower bound on it.
 
+linf_norm holds the one stability rule: a closed loop is internally stable
+exactly when its norm is finite.
+
 The bound makes the control difficulty induced by the fixation point
 quantitative: as the fixation point drops, the unstable zero of the cartpole
 approaches its unstable pole and the bound blows up, which no stabilizing
@@ -10,7 +13,6 @@ linear controller can evade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +21,11 @@ from .linalg import (
     UNIT_CIRCLE_TOL,
     pencil_eigvals,
     poles,
-    spectral_radius,
     strictly_unstable,
     transmission_zeros,
 )
 
 __all__ = [
-    "ClosedLoop",
     "hinf_norm",
     "linf_norm",
     "pole_zero_bound",
@@ -44,14 +44,6 @@ _CROSSING_TOL = 1e-3
 _COINCIDENCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
-    """Complementary sensitivity T of a closed loop and its internal stability."""
-
-    T: StateSpaceModel
-    internally_stable: bool
-
-
 def _sigma_max(A, B, C, D, omegas: np.ndarray) -> np.ndarray:
     """Largest singular value of C (e^{j omega} I - A)^-1 B + D, batched over omegas."""
     M = np.exp(1j * omegas)[:, None, None] * np.eye(A.shape[0]) - A
@@ -62,22 +54,26 @@ def _sigma_max(A, B, C, D, omegas: np.ndarray) -> np.ndarray:
 def linf_norm(A, B, C, D=None) -> float:
     """Peak largest singular value of G(z) = C (zI - A)^-1 B + D on the unit circle.
 
-    Level-set iteration (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch 1990):
-    a lower bound starts from the frequencies 0, pi and the angles of the
-    eigenvalues of A; at the level gamma = (1 + 2 rtol) times the bound, the
+    inf unless A is stable, with spectral radius below 1 - INTERNAL_STABILITY_MARGIN:
+    the package's one stability rule, read off the eigenvalues that also seed
+    the level-set iteration (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch
+    1990).  A lower bound starts from the frequencies 0, pi and the angles of
+    those eigenvalues; at the level gamma = (1 + 2 rtol) times the bound, the
     unit-circle eigenvalues z of a symplectic pencil, where gamma^2 I -
     G(1/z)' G(z) is singular, and their midpoints are sampled to raise it,
     until no sample raises it by more than rtol.  The result is a sample, so a
     lower bound, and (1 + 2 rtol) times it has no level crossing, so bounds
-    the norm up to the accuracy of the pencil's eigenvalues.  For a stable
-    model (the caller's concern) this is its H-infinity norm.
+    the norm up to the accuracy of the pencil's eigenvalues.
     """
+    lam = np.linalg.eigvals(A)
+    if np.abs(lam).max(initial=0.0) >= 1.0 - INTERNAL_STABILITY_MARGIN:
+        return math.inf
     D = np.zeros((C.shape[0], B.shape[1])) if D is None else D
     n, m = B.shape
     k = 2 * n + m
     x, v, u = slice(0, n), slice(n, 2 * n), slice(2 * n, k)
     CtC = C.T @ C
-    w = np.concatenate([[0.0, math.pi], np.abs(np.angle(np.linalg.eigvals(A)))])
+    w = np.concatenate([[0.0, math.pi], np.abs(np.angle(lam))])
     lower = float(_sigma_max(A, B, C, D, w).max())
     while True:
         # the pencil of G / gamma at level 1 keeps its blocks on the model's scale:
@@ -103,13 +99,7 @@ def linf_norm(A, B, C, D=None) -> float:
 
 
 def hinf_norm(model: StateSpaceModel) -> float:
-    """Peak gain of a stable model, certified by linf_norm.
-
-    A lower bound on the norm that, times (1 + 2e-9), has no level crossing.
-    Raises for unstable models, whose norm is not defined.
-    """
-    if spectral_radius(model.A) >= 1.0:
-        raise ValueError("model is not stable; the H-infinity norm is unbounded")
+    """H-infinity norm of a model by linf_norm: inf when the model is not stable."""
     return linf_norm(model.A, model.B, model.C, model.D)
 
 
@@ -148,13 +138,12 @@ def bound_for_model(model: StateSpaceModel) -> float:
                            strictly_unstable(transmission_zeros(model)))
 
 
-def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLoop:
+def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> StateSpaceModel:
     """Close the loop u = K(y) around P, with K as LtiController runs it (u = C x + D y).
 
     Returns a realization of the complementary sensitivity T = -PK/(1 - PK)
     on the full interconnection state (controller states first, then plant
-    states), so the internal-stability flag reflects every plant and
-    controller mode.
+    states), so its norm is finite exactly when the loop is internally stable.
     """
     P, K = plant, controller
     # the loop gain L = P(-K) in cascade form: input -> -K -> P -> output
@@ -170,7 +159,4 @@ def closed_loop(plant: StateSpaceModel, controller: StateSpaceModel) -> ClosedLo
     den = 1.0 + float(D)
     if abs(den) < 1e-12:
         raise ValueError("feedback loop is ill-posed (1 - P(inf)K(inf) = 0)")
-    A_s = A - (B @ C) / den
-    T = StateSpaceModel(A_s, B / den, C / den, np.array([[D / den]]), P.dt)
-    stable = spectral_radius(A_s) < 1.0 - INTERNAL_STABILITY_MARGIN
-    return ClosedLoop(T=T, internally_stable=stable)
+    return StateSpaceModel(A - (B @ C) / den, B / den, C / den, np.array([[D / den]]), P.dt)

@@ -211,9 +211,9 @@ def _attempt_level(plant: GeneralizedPlant, gamma: float):
     Acl[:n, :n], Acl[:n, n:], Acl[n:, :n], Acl[n:, n:] = A, -B2 @ F2, L @ C2, Ak
     Bcl = np.vstack([B1, L @ D21])
     Ccl = np.hstack([C1, -D12 @ F2])
-    if spectral_radius(Acl) >= 1.0:
-        raise GameDareInfeasible("certified closed loop is unstable")
     cl_norm = linf_norm(Acl, Bcl, Ccl)
+    if cl_norm == math.inf:
+        raise GameDareInfeasible("certified closed loop is unstable")
     if cl_norm > gamma * (1.0 + 1e-6):
         raise GameDareInfeasible(
             f"certificate failed: closed-loop norm {cl_norm:.6g} above level {gamma:.6g}"

@@ -261,6 +261,22 @@ class TestSweep:
         assert "--spec" in result.output and f"{field} must be a JSON list" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"method": "hinf_fullstate", "fixations": []}, "fixations is empty"),
+        ({"method": "rl", "sensor_tiers": []}, "sensor_tiers is empty"),
+        ({"method": "hinf_arxhk", "budgets": []}, "budgets is empty"),
+        ("abc", "a spec must be a JSON object"),
+    ])
+    def test_empty_or_non_object_spec_rejected(self, runner, tmp_path, raw, message):
+        # an empty axis once exited 0 with header-only CSVs
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--spec" in result.output and message in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_spec_seed_rejected(self, runner, tmp_path, value):
         # json's true is a Python bool, an int that the cell seeds would read as 1

@@ -244,6 +244,28 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"{field} repeats {repeated}"):
             ExperimentSpec(**{field: value})
 
+    @pytest.mark.parametrize("method, field", [
+        ("hinf_fullstate", "fixations"), ("rl", "fixations"),
+        ("hinf_arxhk", "sensor_tiers"), ("rl", "sensor_tiers"),
+        ("hinf_fullstate", "budgets"), ("hinf_arxhk", "budgets"),
+    ])
+    def test_rejects_empty_axis(self, method, field):
+        # an empty axis is a grid of no cells, whose CSVs hold only their headers
+        with pytest.raises(ValueError, match=f"{field} is empty"):
+            ExperimentSpec(method=method, **{field: ()})
+
+    def test_rl_ignores_empty_budgets(self):
+        # RL cells do not read budgets
+        assert ExperimentSpec(method="rl", budgets=()).budgets == ()
+
+    @pytest.mark.parametrize("raw", ["abc", [1.0], 3, None])
+    def test_from_json_rejects_non_object(self, tmp_path, raw):
+        # the string "abc" was read as the unknown keys 'a', 'b' and 'c'
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="a spec must be a JSON object"):
+            ExperimentSpec.from_json(path)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({

@@ -35,6 +35,12 @@ angle probes, the CLI and SAC training all call; only it and the excitation
 runs of ``sysid._collect_one`` (which bring their own block-seeded generators
 and cart origin) call ``cartpole.simulate``.
 
+A closed loop is stable by one rule, the one ``limits.linf_norm`` applies to
+the eigenvalues it takes once per call (its norm is inf otherwise), so no
+other module decides stability from a spectral radius: only the game Riccati
+check ``synthesis._game_dare`` calls ``spectral_radius``, and it certifies a
+stabilizing Riccati solution, not a norm.
+
 A dataclass field that nothing reads is a result computed for no one, so every
 field of a dataclass in the package is read as ``.field`` somewhere in the
 package or the benchmark, outside its own class body.
@@ -59,6 +65,7 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 SCIPY_HOME = ("linalg.py", "pencil_eigvals")
 CTYPES_HOME = ("linalg.py", "_lapack")
 SIMULATE_CALLERS = {("cartpole", "run_episode"), ("sysid", "_collect_one")}
+SPECTRAL_RADIUS_CALLERS = {("synthesis", "_game_dare")}
 
 
 def _is_occball_import(node) -> bool:
@@ -239,6 +246,16 @@ def test_simulate_called_only_by_the_episode_and_excitation_entries():
     callers = {(path.stem, func) for path in MODULES
                for func, _ in _calls_of(ast.parse(path.read_text()), "simulate")}
     assert callers == SIMULATE_CALLERS
+
+
+def test_stability_decided_by_linf_norm_alone():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    callers = {(stem, func) for stem, tree in trees.items()
+               for func, _ in _calls_of(tree, "spectral_radius")}
+    assert callers == SPECTRAL_RADIUS_CALLERS
+    eigvals = [(stem, func) for stem in ("limits", "harness")
+               for func, _ in _calls_of(trees[stem], "eigvals")]
+    assert eigvals == [("limits", "linf_norm")]
 
 
 def test_every_dataclass_field_is_read():

@@ -42,9 +42,19 @@ class TestHinfNorm:
         assert hinf_norm(g2) == pytest.approx(2 * hinf_norm(g), rel=1e-10)
 
     def test_rejects_unstable(self):
+        # an unstable model's norm is unbounded: inf, as MATLAB's hinfnorm reports it
         g = StateSpaceModel([[1.1]], [[1.0]], [[1.0]], [[0.0]])
-        with pytest.raises(ValueError):
-            hinf_norm(g)
+        assert hinf_norm(g) == math.inf
+
+    @pytest.mark.parametrize("pole, finite", [(1.0 - 1e-10, False), (1.0 - 1e-8, True)])
+    def test_one_stability_rule(self, pole, finite):
+        # stable means spectral radius below 1 - 1e-9, for both entries alike
+        g = StateSpaceModel([[pole]], [[1.0]], [[1.0]], [[0.0]])
+        for value in (linf_norm(g.A, g.B, g.C), hinf_norm(g)):
+            assert (value < math.inf) == finite
+            if finite:
+                # the peak |1 / (1 - pole)| at w = 0
+                assert value == pytest.approx(1.0 / (1.0 - pole), rel=1e-6)
 
     def test_lightly_damped_peak_between_grid_points(self):
         # a broad resonance at 0.6 rad plus a sharp pair of pole radius
@@ -113,12 +123,12 @@ class TestClosedLoop:
     def test_zero_controller_open_loop(self):
         plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         loop = closed_loop(plant, static(0.0))
-        assert abs(tf_eval(loop.T, 1.5)[0, 0]) < 1e-12
-        assert loop.internally_stable
+        assert abs(tf_eval(loop, 1.5)[0, 0]) < 1e-12
+        assert hinf_norm(loop) < math.inf
 
     def test_unity_static_loop(self):
         loop = closed_loop(static(1.0), static(-1.0))
-        assert float(loop.T.D[0, 0]) == pytest.approx(0.5)
+        assert float(loop.D[0, 0]) == pytest.approx(0.5)
 
     def test_ill_posed(self):
         with pytest.raises(ValueError, match="ill-posed"):
@@ -135,12 +145,12 @@ class TestClosedLoop:
             w = float(rng.uniform(0, math.pi))
             zeta = complex(math.cos(w), math.sin(w))
             pk = tf_eval(plant, zeta)[0, 0] * tf_eval(ctrl, zeta)[0, 0]
-            assert abs(tf_eval(loop.T, zeta)[0, 0] + pk / (1.0 - pk)) < 1e-8
+            assert abs(tf_eval(loop, zeta)[0, 0] + pk / (1.0 - pk)) < 1e-8
 
     def test_instability_detected(self):
         plant = linearize(PhysicalParams())
         loop = closed_loop(plant, static(0.0))
-        assert not loop.internally_stable
+        assert hinf_norm(loop) == math.inf
 
     def test_stabilized_cartpole_respects_bound(self):
         # LQG-style stabilization of the true plant; the pole/zero bound must hold
@@ -154,7 +164,6 @@ class TestClosedLoop:
         Ak = A - B @ K - L @ C
         # u = -K xhat with xhat <- Ak xhat + L y; closed_loop wires u = C xhat + D y
         ctrl = StateSpaceModel(Ak, L, -K, np.zeros((1, 1)), plant.dt)
-        loop = closed_loop(plant, ctrl)
-        assert loop.internally_stable
-        bound = bound_for_model(plant)
-        assert hinf_norm(loop.T) >= bound - 1e-3
+        norm = hinf_norm(closed_loop(plant, ctrl))
+        assert norm < math.inf
+        assert norm >= bound_for_model(plant) - 1e-3

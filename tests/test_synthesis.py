@@ -7,6 +7,7 @@ import scipy.linalg
 
 from occball import synthesis
 from occball.cartpole import PhysicalParams, linearize, make_sensor
+from occball.harness import identify, score
 from occball.limits import bound_for_model, closed_loop, hinf_norm, linf_norm
 from occball.linalg import StateSpaceModel, spectral_radius
 from occball.sysid import collect_budget, fit_arx, fit_full_state, ho_kalman
@@ -59,10 +60,10 @@ class TestSynthesize:
         syn = hinf_synthesize(build_generalized_plant(plant, 100.0))
         assert syn.feasible
         assert np.max(np.abs(syn.controller.C)) < 1e-2
-        loop = closed_loop(plant, syn.controller)
-        assert loop.internally_stable
+        norm = hinf_norm(closed_loop(plant, syn.controller))
+        assert norm < math.inf
         # closed loop is essentially the open loop
-        assert hinf_norm(loop.T) < 0.05
+        assert norm < 0.05
 
     def test_cartpole_baseline_configuration(self):
         model = identified_model()
@@ -217,7 +218,7 @@ def test_pinned_closed_loop_T_bytes(pinned_syntheses):
     for ell0, syn, _ in pinned_syntheses:
         if syn.controller is None:
             continue
-        T = closed_loop(linearize(PhysicalParams(ell0=ell0)), syn.controller).T
+        T = closed_loop(linearize(PhysicalParams(ell0=ell0)), syn.controller)
         for M in (T.A, T.B, T.C, T.D):
             digest.update(np.ascontiguousarray(M, dtype=float).tobytes())
     assert digest.hexdigest()[:16] == PINNED_CLOSED_LOOP_T_SHA256
@@ -233,6 +234,43 @@ def test_pinned_gamma_trace(pinned_syntheses):
     assert digest.hexdigest()[:16] == PINNED_GAMMA_TRACE_SHA256
 
 
+# the 72-cell synthesis grid: fixations x tiers x budgets x fits, each budget's data
+# collected at seed budget + 7 and shared by both fits
+GRID_FIXATIONS = (1.0, 0.9, 0.8, 0.7)
+GRID_BUDGETS = (100, 1000, 20000)
+PINNED_GRID_SHA256 = "b3cb0135bb0ffaeaffe932042d61c558c022fb19d0385dc08c8d79598ddf1358"
+
+
+def test_pinned_synthesis_grid():
+    # per cell: the synthesis outcome, the controller's bytes and its score on the
+    # true plant; half of the true loops are unstable, so both score branches count
+    digest = hashlib.sha256()
+    unstable = 0
+    for ell0 in GRID_FIXATIONS:
+        params = PhysicalParams(ell0=ell0)
+        for tier in EPSILON_BY_TIER:
+            sensor = make_sensor(tier, params)
+            for budget in GRID_BUDGETS:
+                data = collect_budget(params, sensor, budget, seed=budget + 7)
+                for method in ("fullstate", "arxhk"):
+                    model = identify(method, data, params, 10, 4)
+                    syn = hinf_synthesize(build_generalized_plant(model, EPSILON_BY_TIER[tier]))
+                    record = [syn.feasible, syn.reason, repr(syn.gamma_design),
+                              repr(syn.gamma_achieved)]
+                    if syn.controller is not None:
+                        h = hashlib.sha256()
+                        for M in (syn.controller.A, syn.controller.B, syn.controller.C,
+                                  syn.controller.D):
+                            h.update(np.ascontiguousarray(M, dtype=float).tobytes())
+                        scores = score(syn.controller, params, sensor, 2024)
+                        unstable += not scores["stable_true"]
+                        record += [h.hexdigest(),
+                                   sorted((k, repr(v)) for k, v in scores.items())]
+                    digest.update(repr(record).encode())
+    assert unstable == 36
+    assert digest.hexdigest() == PINNED_GRID_SHA256
+
+
 class TestBoundConsistency:
     @pytest.mark.parametrize("ell0", [1.0, 0.9])
     def test_synthesized_loop_respects_bound(self, ell0):
@@ -240,8 +278,7 @@ class TestBoundConsistency:
         syn = hinf_synthesize(build_generalized_plant(model, 5e-3))
         assert syn.feasible
         truth = linearize(PhysicalParams(ell0=ell0))
-        loop = closed_loop(truth, syn.controller)
-        assert loop.internally_stable
-        bound = bound_for_model(truth)
-        assert hinf_norm(loop.T) >= bound - 1e-3
+        norm = hinf_norm(closed_loop(truth, syn.controller))
+        assert norm < math.inf
+        assert norm >= bound_for_model(truth) - 1e-3
 
